@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -407,13 +406,6 @@ def run_quasimode(domain, field, params, art: Artifacts):
         "radii": [q.cutoff.r_inner, q.cutoff.r_outer],
         "norm_u": rep.norm_u, "norm_pzu": rep.norm_pzu, "ratio": rep.ratio,
     })
-
-
-def _scan_chunk(args):
-    domain, X, rect, res_grid, h, dx_rule, rows = args
-    grids = pseudospectrum_scan(domain, X, rect, res_grid, [h], dx_rule)
-    g = grids[0]
-    return [(j, g.sigma[j, :], g.at_floor[j, :]) for j in rows]
 
 
 def run_pseudospectrum(domain, field, params, art: Artifacts, jobs: int = 1):

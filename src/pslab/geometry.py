@@ -380,16 +380,18 @@ def _polygon_area(v: np.ndarray) -> float:
 
 
 def _inside_polygon(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Crossing-number inside test, vectorized over points."""
-    x, y = pts[:, 0][:, None], pts[:, 1][:, None]
-    x0, y0 = poly[:, 0][None, :], poly[:, 1][None, :]
-    x1 = np.roll(poly[:, 0], -1)[None, :]
-    y1 = np.roll(poly[:, 1], -1)[None, :]
-    cond = (y0 <= y) != (y1 <= y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xint = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-    crossings = np.sum(cond & (x < xint), axis=1)
-    return crossings % 2 == 1
+    """Crossing-number inside test, vectorized over points in bounded chunks."""
+    x0, y0 = poly[:, 0], poly[:, 1]
+    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    out = np.empty(pts.shape[0], dtype=bool)
+    chunk = max(1, int(4e6 / max(len(poly), 1)))
+    for lo in range(0, pts.shape[0], chunk):
+        x, y = pts[lo:lo + chunk, 0:1], pts[lo:lo + chunk, 1:2]
+        cond = (y0 <= y) != (y1 <= y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xint = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+        out[lo:lo + chunk] = np.sum(cond & (x < xint), axis=1) % 2 == 1
+    return out
 
 
 def _dist_to_polyline(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:

@@ -8,6 +8,14 @@ counter-based Philox streams keyed by (seed, path_index): distinct paths use
 provably independent substreams, and a path's draw sequence depends only on
 its own key, so results are independent of batching and worker count.
 
+One kernel steps every ensemble.  A constant drift is block-stepped: a
+sub-block of steps is advanced for all alive paths with one signed-distance
+call and its first crossings found at once, bit-identical to stepping one
+at a time because each step still rounds as (x + b dt) + amp xi.  A callable
+drift is evaluated, and stepped, one step at a time.  The coupled (dt, dt/2)
+pair is two levels over one draw stream: the fine level steps with each
+normal, the coarse level with the normalized sum of each consecutive pair.
+
 The moment generating function E exp(lambda tau_X / h) is estimated by the
 sample mean with jackknife standard errors; truncated paths contribute the
 lower-bound surrogate exp(lambda T_max / h) and are flagged.  For constant
@@ -20,13 +28,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import SupercriticalError, UnreliableTailError
 
-_CHUNK = 256          # normals pre-drawn per path; fixes the stream layout
+_CHUNK = 256          # normals pre-drawn per path (the pair; the ensemble's floor)
+_BATCH = 16384        # paths simulated together
+_BLOCK = 65536        # path-steps per constant-drift sub-block; bounds scratch
 
 
 @dataclass
@@ -82,76 +92,143 @@ def default_t_max(h: float, lam: float) -> float:
     return 50.0 * h * max(1.0, abs(math.log(h))) / lam
 
 
-def _drift_fn(b, d: int) -> Callable[[np.ndarray], np.ndarray]:
-    if callable(b):
-        return lambda x: np.asarray(b(x), dtype=float).reshape(len(x), d)
-    vec = np.atleast_1d(np.asarray(b, dtype=float))
-    return lambda x: np.broadcast_to(vec, (len(x), d))
-
-
 def _path_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed), int(index))))
 
 
-def simulate_exit_ensemble(domain, b, h: float, x0, dt: float, seed: int,
-                           n_paths: int, t_max: float,
-                           batch_size: int = 16384) -> ExitEnsemble:
-    """Euler-Maruyama first-exit ensemble; deterministic in (seed, dt, x0)."""
+class _Level:
+    """One Euler-Maruyama discretization advanced over a batch's draws.
+
+    Step k consumes normals [stride k, stride (k + 1)) of each path's
+    stream; a stride-2 level steps with their normalized pairwise sum.
+    The state holds the alive paths only (batch rows ``idx``), coordinate
+    by coordinate; exits are written into the ensemble rows [lo, hi).
+    """
+
+    def __init__(self, ens: ExitEnsemble, lo: int, hi: int, domain, b,
+                 start_sd: float, stride: int, n_steps: int):
+        self.domain, self.b = domain, b
+        self.tau = ens.tau[lo:hi]
+        self.pts = ens.exit_points[lo:hi]
+        self.truncated = ens.truncated[lo:hi]
+        self.dt = ens.dt
+        self.amp = math.sqrt(2.0 * ens.h * ens.dt)
+        # a constant drift's step b dt, one row per coordinate
+        self.c = None if callable(b) else (
+            np.atleast_1d(np.asarray(b, dtype=float)) * ens.dt)[:, None]
+        self.stride, self.n_steps = stride, n_steps
+        self.idx = np.arange(hi - lo)
+        self.pos = self.pts.T.copy()
+        self.sd = np.full(hi - lo, start_sd)
+        self.k = 0                       # steps taken by the alive paths
+
+    def advance(self, buf: np.ndarray, base: int):
+        """Step the alive paths over buf, which holds their draws from base.
+
+        Constant drift advances a sub-block of L steps per pass and takes
+        the signed distance once for it; a callable drift b is evaluated
+        every step (L = 1).
+        """
+        d = buf.shape[2]
+        k_end = min((base + buf.shape[1]) // self.stride, self.n_steps)
+        while self.k < k_end and len(self.idx):
+            n = len(self.idx)
+            if self.c is None:
+                L = 1
+                c = np.asarray(self.b(self.pos.T), dtype=float)
+                c = c.reshape(n, d).T * self.dt
+            else:
+                L = max(1, min(k_end - self.k, _BLOCK // n))
+                c = self.c
+            r = self.k * self.stride - base
+            xi = buf[self.idx, r:r + L * self.stride].transpose(1, 2, 0)
+            if self.stride == 2:
+                xi = (xi[0::2] + xi[1::2]) / math.sqrt(2.0)
+            # path[j] is the position after j steps; each step rounds as
+            # amp xi + (x + b dt), the order of one Euler step at a time
+            path = np.empty((L + 1, d, n))
+            path[0] = self.pos
+            np.multiply(xi, self.amp, out=path[1:])
+            for j in range(L):
+                path[j + 1] += path[j] + c
+            new = path[1:].transpose(0, 2, 1).reshape(L * n, d)
+            sd = self.domain.signed_distance(new if d > 1 else new[:, 0]
+                                             ).reshape(L, n)
+            k0, self.k = self.k, self.k + L
+            crossed = sd >= 0.0
+            if not crossed.any():
+                self.pos, self.sd = path[L], sd[L - 1]
+                continue
+            # first crossing, interpolated linearly in the signed distance
+            hit = crossed.any(axis=0)
+            col = np.flatnonzero(hit)
+            j = crossed[:, col].argmax(axis=0)
+            so = np.where(j > 0, sd[j - 1, col], self.sd[col])
+            sn = sd[j, col]
+            frac = so / (so - sn)
+            p0, p1 = path[j, :, col], path[j + 1, :, col]
+            out = self.idx[col]
+            self.pts[out] = p0 + frac[:, None] * (p1 - p0)
+            self.tau[out] = (k0 + j + frac) * self.dt
+            keep = np.flatnonzero(~hit)
+            self.idx = self.idx[keep]
+            self.pos = path[L].take(keep, axis=1)
+            self.sd = sd[L - 1].take(keep)
+
+    def finish(self):
+        """Paths still alive after n_steps are truncated where they stand."""
+        self.truncated[self.idx] = True
+        self.pts[self.idx] = self.pos.T
+
+
+def _simulate(domain, b, h: float, x0, seed: int, n_paths: int, t_max: float,
+              levels: Sequence[tuple[float, int, int]], chunk: int,
+              batch_size: int) -> list[ExitEnsemble]:
+    """One ensemble per level (dt, stride, n_steps), all on the same draws."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = x0.shape[0]
-    drift = _drift_fn(b, d)
-    noise_amp = math.sqrt(2.0 * h * dt)
+    out = [ExitEnsemble(np.full(n_paths, t_max), np.tile(x0, (n_paths, 1)),
+                        np.zeros(n_paths, dtype=bool), h, dt, t_max, seed, x0)
+           for dt, _, _ in levels]
+    start_sd = float(np.atleast_1d(domain.signed_distance(
+        x0[None, :] if d > 1 else x0))[0])
+    if start_sd >= 0.0:
+        for ens in out:
+            ens.tau[:] = 0.0
+        return out
+    n_draws = max(stride * n for _, stride, n in levels)
+    for lo in range(0, n_paths, batch_size):
+        hi = min(lo + batch_size, n_paths)
+        gens = [_path_generator(seed, i) for i in range(lo, hi)]
+        run = [_Level(ens, lo, hi, domain, b, start_sd, stride, n)
+               for ens, (_, stride, n) in zip(out, levels)]
+        buf = np.empty((hi - lo, chunk, d))
+        for base in range(0, n_draws, chunk):
+            need = np.zeros(hi - lo, dtype=bool)
+            for lv in run:
+                need[lv.idx] = True
+            if not need.any():
+                break
+            for a in np.flatnonzero(need):
+                gens[a].standard_normal(out=buf[a])
+            for lv in run:
+                lv.advance(buf, base)
+        for lv in run:
+            lv.finish()
+    return out
+
+
+def simulate_exit_ensemble(domain, b, h: float, x0, dt: float, seed: int,
+                           n_paths: int, t_max: float,
+                           batch_size: int = _BATCH) -> ExitEnsemble:
+    """Euler-Maruyama first-exit ensemble; deterministic in (seed, dt, x0)."""
     max_steps = int(math.ceil(t_max / dt))
     # larger draw blocks only amortize generator calls: the per-path normal
     # sequence is the same for any blocking
     chunk = int(np.clip(2 ** int(np.ceil(np.log2(max(max_steps // 8, 1)))),
                         _CHUNK, 1024))
-    tau = np.full(n_paths, t_max)
-    exit_points = np.tile(x0, (n_paths, 1))
-    truncated = np.zeros(n_paths, dtype=bool)
-
-    start_sd = float(np.atleast_1d(domain.signed_distance(
-        x0[None, :] if d > 1 else x0))[0])
-    if start_sd >= 0.0:
-        tau[:] = 0.0
-        return ExitEnsemble(tau, exit_points, truncated, h, dt, t_max, seed, x0)
-
-    for lo in range(0, n_paths, batch_size):
-        hi = min(lo + batch_size, n_paths)
-        m = hi - lo
-        gens = [_path_generator(seed, i) for i in range(lo, hi)]
-        pos = np.tile(x0, (m, 1))
-        sd_old = np.full(m, start_sd)
-        alive = np.arange(m)
-        buffers = np.empty((m, chunk, d))
-        for k in range(max_steps):
-            if len(alive) == 0:
-                break
-            r = k % chunk
-            if r == 0:
-                for a in alive:
-                    buffers[a] = gens[a].standard_normal((chunk, d))
-            xi = buffers[alive, r, :]
-            cur = pos[alive]
-            new = cur + drift(cur) * dt + noise_amp * xi
-            sd_new = np.atleast_1d(domain.signed_distance(
-                new if d > 1 else new[:, 0]))
-            crossed = sd_new >= 0.0
-            if crossed.any():
-                ic = alive[crossed]
-                so = sd_old[ic]
-                sn = sd_new[crossed]
-                frac = so / (so - sn)
-                pt = cur[crossed] + frac[:, None] * (new[crossed] - cur[crossed])
-                tau[lo + ic] = (k + frac) * dt
-                exit_points[lo + ic] = pt
-            pos[alive] = new
-            sd_old[alive] = sd_new
-            alive = alive[~crossed]
-        if len(alive):
-            truncated[lo + alive] = True
-            exit_points[lo + alive] = pos[alive]
-    return ExitEnsemble(tau, exit_points, truncated, h, dt, t_max, seed, x0)
+    return _simulate(domain, b, h, x0, seed, n_paths, t_max,
+                     [(dt, 1, max_steps)], chunk, batch_size)[0]
 
 
 def simulate_exit(domain, b, h: float, x0, dt: float, seed: int,
@@ -174,85 +251,10 @@ def simulate_exit_refinement_pair(domain, b, h: float, x0, dt: float,
     difference of the two estimates isolates the time-stepping bias from the
     Monte Carlo noise.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    d = x0.shape[0]
-    drift = _drift_fn(b, d)
-    dtf = 0.5 * dt
-    ampf = math.sqrt(2.0 * h * dtf)
-    max_fine = int(math.ceil(t_max / dtf))
-    n = n_paths
-    tau_c = np.full(n, t_max)
-    tau_f = np.full(n, t_max)
-    pts_c = np.tile(x0, (n, 1))
-    pts_f = np.tile(x0, (n, 1))
-    trunc_c = np.zeros(n, dtype=bool)
-    trunc_f = np.zeros(n, dtype=bool)
-
-    start_sd = float(np.atleast_1d(domain.signed_distance(
-        x0[None, :] if d > 1 else x0))[0])
-    gens = [_path_generator(seed, i) for i in range(n)]
-    pos_c = np.tile(x0, (n, 1))
-    pos_f = np.tile(x0, (n, 1))
-    sd_c = np.full(n, start_sd)
-    sd_f = np.full(n, start_sd)
-    alive_c = np.ones(n, dtype=bool)
-    alive_f = np.ones(n, dtype=bool)
-    buffers = np.empty((n, _CHUNK, d))
-    pend = np.zeros((n, d))          # first half-step increment awaiting pair
-    for k in range(max_fine):
-        any_alive = alive_c | alive_f
-        if not any_alive.any():
-            break
-        r = k % _CHUNK
-        if r == 0:
-            for a in np.nonzero(any_alive)[0]:
-                buffers[a] = gens[a].standard_normal((_CHUNK, d))
-        xi = buffers[:, r, :]
-        # fine step for fine-alive paths
-        af = np.nonzero(alive_f)[0]
-        if len(af):
-            cur = pos_f[af]
-            new = cur + drift(cur) * dtf + ampf * xi[af]
-            sd_new = np.atleast_1d(domain.signed_distance(
-                new if d > 1 else new[:, 0]))
-            crossed = sd_new >= 0.0
-            if crossed.any():
-                ic = af[crossed]
-                frac = sd_f[ic] / (sd_f[ic] - sd_new[crossed])
-                pts_f[ic] = cur[crossed] + frac[:, None] * (new[crossed] - cur[crossed])
-                tau_f[ic] = (k + frac) * dtf
-                alive_f[ic] = False
-            keep = af[~crossed]
-            pos_f[keep] = new[~crossed]
-            sd_f[keep] = sd_new[~crossed]
-        # coarse step on odd fine indices, using the summed increments
-        if k % 2 == 0:
-            pend = xi.copy()
-        else:
-            ac = np.nonzero(alive_c)[0]
-            if len(ac):
-                zsum = (pend[ac] + xi[ac]) / math.sqrt(2.0)
-                cur = pos_c[ac]
-                new = cur + drift(cur) * dt + math.sqrt(2.0 * h * dt) * zsum
-                sd_new = np.atleast_1d(domain.signed_distance(
-                    new if d > 1 else new[:, 0]))
-                crossed = sd_new >= 0.0
-                kc = (k - 1) // 2
-                if crossed.any():
-                    ic = ac[crossed]
-                    frac = sd_c[ic] / (sd_c[ic] - sd_new[crossed])
-                    pts_c[ic] = cur[crossed] + frac[:, None] * (new[crossed] - cur[crossed])
-                    tau_c[ic] = (kc + frac) * dt
-                    alive_c[ic] = False
-                keep = ac[~crossed]
-                pos_c[keep] = new[~crossed]
-                sd_c[keep] = sd_new[~crossed]
-    trunc_c[alive_c] = True
-    trunc_f[alive_f] = True
-    pts_c[alive_c] = pos_c[alive_c]
-    pts_f[alive_f] = pos_f[alive_f]
-    coarse = ExitEnsemble(tau_c, pts_c, trunc_c, h, dt, t_max, seed, x0)
-    fine = ExitEnsemble(tau_f, pts_f, trunc_f, h, dtf, t_max, seed, x0)
+    max_fine = int(math.ceil(t_max / (0.5 * dt)))
+    coarse, fine = _simulate(domain, b, h, x0, seed, n_paths, t_max,
+                             [(dt, 2, max_fine // 2), (0.5 * dt, 1, max_fine)],
+                             _CHUNK, _BATCH)
     return coarse, fine
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,70 @@ class TestSimulation:
         q = np.linspace(0.05, 0.95, 19)
         assert np.allclose(np.quantile(X.tau, q), h * np.quantile(Y.tau, q),
                            rtol=1e-12)
+
+
+def _digests(ens):
+    return tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+                 for a in (ens.tau, ens.exit_points, ens.truncated))
+
+
+def _outward(x):
+    return 0.8 * np.asarray(x)
+
+
+class TestBitIdentity:
+    """SHA-256 prefixes of (tau, exit_points, truncated), recorded from the
+    one-step-at-a-time Euler loop that preceded the block-stepped kernel.
+    They pin numpy's Philox normal stream and IEEE-754 double rounding."""
+
+    def test_interval_constant_drift_truncating(self):
+        # max_steps = 23040 is not a multiple of the 1024-normal draw chunk;
+        # 71 of 200 paths reach t_max
+        h = 0.05
+        ens = simulate_exit_ensemble(INTERVAL, 0.8, h, [h], h * h / 64.0,
+                                     2027, 200, 0.9)
+        assert ens.truncated.sum() == 71
+        assert _digests(ens) == ("1961e8f5f85edfbc", "0cea6b5604115687",
+                                 "28f42540472f1efa")
+
+    def test_refinement_pair_odd_fine_steps(self):
+        # max_fine = 12801: the last fine step has no coarse partner
+        h = 0.05
+        coarse, fine = simulate_exit_refinement_pair(
+            INTERVAL, 0.8, h, [h], h * h / 16.0, 8, 200, 1.00005)
+        assert _digests(coarse) == ("d1661757140f1f10", "7f913b1dc3602d3b",
+                                    "ce53c00f8d00f187")
+        assert _digests(fine) == ("e027811dad0118e3", "7eb25863b958329c",
+                                  "7c3afd645fdaae5b")
+
+    def test_disk_constant_drift(self):
+        ens = simulate_exit_ensemble(Disk((0, 0), 1.0), [0.5, 0.0], 0.1,
+                                     [0.0, 0.0], 1e-3, 19, 100, 3.0)
+        assert _digests(ens) == ("a8dc143eb85102e8", "c18a51afcc6c8f59",
+                                 "0c93cb3fd278453d")
+
+    def test_disk_callable_drift(self):
+        h = 0.05
+        ens = simulate_exit_ensemble(Disk((0, 0), 1.0), _outward, h,
+                                     [0.9, 0.0], h * h / 32.0, 23, 200, 1.0)
+        assert _digests(ens) == ("08786722eb22b7e6", "8d71da8eee61fb9a",
+                                 "c7e1c511ae666eb0")
+
+    def test_constant_drift_blocks_match_callable_steps(self):
+        # constant drift is block-stepped, a callable one steps one at a time
+        const = simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 42,
+                                       64, 20.0)
+        steps = simulate_exit_ensemble(INTERVAL, lambda x: np.full(len(x), 0.8),
+                                       0.05, [0.3], 5e-4, 42, 64, 20.0)
+        assert _digests(const) == _digests(steps)
+
+    def test_pair_fine_level_is_half_step_ensemble(self):
+        h, dt = 0.05, 0.05 ** 2 / 16.0
+        _, fine = simulate_exit_refinement_pair(INTERVAL, 0.8, h, [h], dt, 5,
+                                                100, 2.0)
+        ens = simulate_exit_ensemble(INTERVAL, 0.8, h, [h], dt / 2, 5, 100,
+                                     2.0)
+        assert _digests(fine) == _digests(ens)
 
 
 class TestBvpOracle:

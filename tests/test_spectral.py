@@ -114,6 +114,14 @@ class TestEigenvalues:
         b = eigenvalues(opm, 4).values
         assert np.allclose(np.sort(a.real), np.sort(b.real), rtol=1e-10)
 
+    def test_repeat_calls_identical(self):
+        # ARPACK starts from a fixed vector; from a random one the fifth
+        # eigenvalue of this operator moves by about 1e-4 between calls
+        op = assemble_1d(INTERVAL, 0.01, 1.0, 2000)
+        a = eigenvalues(op, 5, sigma_shift=0.25).values
+        b = eigenvalues(op, 5, sigma_shift=0.25).values
+        assert np.array_equal(a, b)
+
 
 class TestLocalization:
     def test_profile_normalized(self):
