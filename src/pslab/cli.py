@@ -1,6 +1,6 @@
 """Experiment runner: validate a JSON config, dispatch, write artifacts.
 
-Usage: pslab <experiment> --config <file> [--jobs N] [--out DIR]
+Usage: pslab <experiment> --config <file> [--out DIR]
 
 Experiments: classify, hull, quasimode, pseudospectrum, spectrum, pseudomode,
 exit-time, blowup.  Validation failures exit with status 2 and name the
@@ -48,10 +48,6 @@ from .spectral import (
     smallest_singular_value,
 )
 
-EXPERIMENTS = ("classify", "hull", "quasimode", "pseudospectrum", "spectrum",
-               "pseudomode", "exit-time", "blowup")
-
-
 def fnum(x) -> str:
     """17-significant-digit scientific notation: stable for byte replay."""
     return format(float(x), ".16e")
@@ -61,18 +57,38 @@ def fnum(x) -> str:
 #  config parsing and validation
 # ===================================================================== #
 
+def numbers(val, key: str, shape: tuple = ()) -> np.ndarray:
+    """val as a finite float array of the given shape (None: any length)."""
+    try:
+        arr = np.asarray(val)
+    except ValueError:          # ragged nesting
+        arr = None
+    if (arr is None or arr.dtype.kind not in "iuf" or arr.ndim != len(shape)
+            or any(n is not None and n != m for n, m in zip(shape, arr.shape))
+            or not np.all(np.isfinite(arr))):
+        dims = "x".join("n" if n is None else str(n) for n in shape)
+        raise ConfigError(key, f"expected {dims + ' numbers' if shape else 'a number'}")
+    return arr.astype(float)
+
+
 def build_domain(block: dict):
+    if not isinstance(block, dict):
+        raise ConfigError("domain", "expected an object")
     kind = block.get("type")
     try:
         if kind == "interval":
-            return Interval(block["a"], block["b"])
+            return Interval(float(numbers(block["a"], "domain.a")),
+                            float(numbers(block["b"], "domain.b")))
         if kind == "disk":
-            return Disk(block["center"], block["radius"])
+            return Disk(numbers(block["center"], "domain.center", (2,)),
+                        float(numbers(block["radius"], "domain.radius")))
         if kind == "ellipse":
-            return Ellipse(block["center"], block["semi_axes"],
-                           block.get("angle", 0.0))
+            return Ellipse(numbers(block["center"], "domain.center", (2,)),
+                           numbers(block["semi_axes"], "domain.semi_axes", (2,)),
+                           float(numbers(block.get("angle", 0.0), "domain.angle")))
         if kind == "polygon":
-            return Polygon(block["vertices"])
+            return Polygon(numbers(block["vertices"], "domain.vertices",
+                                   (None, 2)))
     except KeyError as e:
         raise ConfigError(f"domain.{e.args[0]}", "missing key") from e
     except PslabError as e:
@@ -80,29 +96,27 @@ def build_domain(block: dict):
     raise ConfigError("domain.type", f"unknown domain type {kind!r}")
 
 
-def build_field(block: dict) -> FieldSpec:
-    if "X" not in block:
+def build_field(block: dict, dimension: int) -> FieldSpec:
+    if not isinstance(block, dict) or "X" not in block:
         raise ConfigError("field.X", "missing key")
-    f = FieldSpec(np.asarray(block["X"], dtype=float))
-    return f
+    return FieldSpec(numbers(block["X"], "field.X", (dimension,)))
 
 
-def require(params: dict, key: str, kind=None):
+def require(params: dict, key: str, kind=None, positive: bool = False):
+    """params[key]; a number of the given kind, > 0 if ``positive``."""
     if key not in params:
         raise ConfigError(f"params.{key}", "missing key")
     val = params[key]
-    if kind is not None:
-        try:
-            if kind is float:
-                return float(val)
-            if kind is int:
-                iv = int(val)
-                if iv != val:
-                    raise ValueError
-                return iv
-        except (TypeError, ValueError):
-            raise ConfigError(f"params.{key}", f"expected {kind.__name__}")
-    return val
+    if kind is None:
+        return val
+    num = float(numbers(val, f"params.{key}"))
+    if kind is int:
+        if num != int(num):
+            raise ConfigError(f"params.{key}", "expected int")
+        num = int(num)
+    if positive and num <= 0:
+        raise ConfigError(f"params.{key}", "must be positive")
+    return num
 
 
 def _region_margin(z: complex, field_norm: float) -> float:
@@ -110,14 +124,19 @@ def _region_margin(z: complex, field_norm: float) -> float:
 
 
 def validate(config: dict):
+    if not isinstance(config, dict):
+        raise ConfigError("config", "expected a JSON object")
     exp = config.get("experiment")
     if exp not in EXPERIMENTS:
         raise ConfigError("experiment", f"must be one of {EXPERIMENTS}")
     domain = build_domain(config.get("domain", {}))
-    field = build_field(config.get("field", {"X": [1.0]}))
+    field = build_field(config.get("field", {"X": [1.0] * domain.dimension}),
+                        domain.dimension)
     if field.norm == 0.0 and exp != "hull":
         raise ConfigError("field.X", "field must be nonzero")
     params = config.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("params", "expected an object")
     if exp == "classify":
         n = require(params, "n_samples", int)
         if domain.dimension == 2 and n < 8:
@@ -127,56 +146,59 @@ def validate(config: dict):
         if domain.dimension != 2:
             raise ConfigError("domain", "hulls need a planar domain")
     elif exp in ("quasimode",):
-        z = complex(*require(params, "z"))
-        h = require(params, "h", float)
-        if h <= 0:
-            raise ConfigError("params.h", "h must be positive")
+        z = complex(*numbers(require(params, "z"), "params.z", (2,)))
+        require(params, "h", float, positive=True)
+        numbers(require(params, "x0"), "params.x0", (domain.dimension,))
         if _region_margin(z, field.norm) <= 0:
             raise ConfigError(
                 "params.z",
                 "no-quasimode condition violated: quasimodes exist only for "
                 "Re z > (Im z)^2/|X|^2; on the boundary parabola there are none")
     elif exp == "pseudospectrum":
-        hs = require(params, "h_list")
-        if not hs or any(h <= 0 for h in hs):
+        hs = numbers(require(params, "h_list"), "params.h_list", (None,))
+        if not len(hs) or any(h <= 0 for h in hs):
             raise ConfigError("params.h_list", "need positive h values")
-        rect = require(params, "rect")
-        if len(rect) != 4 or rect[1] <= rect[0] or rect[3] <= rect[2]:
+        rect = numbers(require(params, "rect"), "params.rect", (4,))
+        if rect[1] <= rect[0] or rect[3] <= rect[2]:
             raise ConfigError("params.rect", "need [re0, re1, im0, im1]")
-        require(params, "resolution")
-        dx_rule = params.get("dx_rule", 8.0)
-        if dx_rule < 8.0:
+        res = numbers(require(params, "resolution"), "params.resolution", (2,))
+        if any(r < 1 or r != int(r) for r in res):
+            raise ConfigError("params.resolution", "need [n_re, n_im] counts")
+        if "dx_rule" in params and require(params, "dx_rule", float) < 8.0:
             raise ConfigError("params.dx_rule",
                               "scan requires dx <= h/8 (dx_rule >= 8)")
     elif exp == "spectrum":
-        require(params, "h", float)
-        require(params, "k", int)
+        require(params, "h", float, positive=True)
+        require(params, "k", int, positive=True)
     elif exp == "pseudomode":
-        z = complex(*require(params, "z"))
-        h = require(params, "h", float)
+        z = complex(*numbers(require(params, "z"), "params.z", (2,)))
+        require(params, "h", float, positive=True)
         if _region_margin(z, field.norm) <= 0:
             raise ConfigError("params.z", "z must be strictly inside the region")
     elif exp == "exit-time":
-        h = require(params, "h", float)
-        dt = require(params, "dt", float)
+        h = require(params, "h", float, positive=True)
+        dt = require(params, "dt", float, positive=True)
         if dt > h * h / 4.0:
             raise ConfigError("params.dt",
                               "dt must not exceed h^2/4 to resolve the dynamics")
-        require(params, "n_paths", int)
-        require(params, "seed", int)
-        require(params, "x0")
+        require(params, "n_paths", int, positive=True)
+        if require(params, "seed", int) < 0:
+            raise ConfigError("params.seed", "seed must be nonnegative")
+        numbers(require(params, "x0"), "params.x0", (domain.dimension,))
         lam = require(params, "lambda", float)
         if lam < 0:
             raise ConfigError("params.lambda", "lambda must be nonnegative")
     elif exp == "blowup":
-        h = require(params, "h", float)
-        mu = require(params, "mu", float)
-        if mu <= 0:
-            raise ConfigError("params.mu", "mu must be positive")
+        if domain.dimension != 1:
+            raise ConfigError("domain", "blow-up runs on an interval")
+        require(params, "h", float, positive=True)
+        require(params, "mu", float, positive=True)
         p = require(params, "p", float)
         if p not in (2.0, 3.0):
             raise ConfigError("params.p", "supported powers are 2 and 3")
-        require(params, "bump")
+        bump = require(params, "bump")
+        if not isinstance(bump, dict) or not {"center", "a", "delta"} <= set(bump):
+            raise ConfigError("params.bump", "needs center, a and delta")
     return domain, field, params
 
 
@@ -408,7 +430,7 @@ def run_quasimode(domain, field, params, art: Artifacts):
     })
 
 
-def run_pseudospectrum(domain, field, params, art: Artifacts, jobs: int = 1):
+def run_pseudospectrum(domain, field, params, art: Artifacts):
     rect = tuple(params["rect"])
     n_re, n_im = params["resolution"]
     dx_rule = params.get("dx_rule", 8.0)
@@ -558,11 +580,24 @@ def run_blowup(domain, field, params, art: Artifacts):
     art.write_json("blowup_report.json", report)
 
 
+RUNNERS = {
+    "classify": run_classify,
+    "hull": run_hull,
+    "quasimode": run_quasimode,
+    "pseudospectrum": run_pseudospectrum,
+    "spectrum": run_spectrum,
+    "pseudomode": run_pseudomode,
+    "exit-time": run_exit_time,
+    "blowup": run_blowup,
+}
+EXPERIMENTS = tuple(RUNNERS)
+
+
 # ===================================================================== #
 #  entry point
 # ===================================================================== #
 
-def run(config_path: str, out_dir: str | None = None, jobs: int = 1) -> int:
+def run(config_path: str, out_dir: str | None = None) -> int:
     path = Path(config_path)
     if not path.exists():
         print(f"config not found: {config_path}", file=sys.stderr)
@@ -581,24 +616,8 @@ def run(config_path: str, out_dir: str | None = None, jobs: int = 1) -> int:
     out = Path(os.environ.get("PSLAB_OUT") or out_dir
                or config.get("output_dir", "pslab_out"))
     art = Artifacts(out, raw)
-    exp = config["experiment"]
     try:
-        if exp == "classify":
-            run_classify(domain, field, params, art)
-        elif exp == "hull":
-            run_hull(domain, field, params, art)
-        elif exp == "quasimode":
-            run_quasimode(domain, field, params, art)
-        elif exp == "pseudospectrum":
-            run_pseudospectrum(domain, field, params, art, jobs=jobs)
-        elif exp == "spectrum":
-            run_spectrum(domain, field, params, art)
-        elif exp == "pseudomode":
-            run_pseudomode(domain, field, params, art)
-        elif exp == "exit-time":
-            run_exit_time(domain, field, params, art)
-        elif exp == "blowup":
-            run_blowup(domain, field, params, art)
+        RUNNERS[config["experiment"]](domain, field, params, art)
     except PslabError as e:
         print(f"compute failed: {e}", file=sys.stderr)
         return 1
@@ -613,7 +632,6 @@ def main(argv=None) -> int:
         description="desk-scale experiments on boundary-driven pseudospectra")
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", required=True)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
     # the experiment name on the command line must match the config
@@ -622,11 +640,12 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"config unreadable: {e}", file=sys.stderr)
         return 2
-    if cfg.get("experiment") != args.experiment:
-        print(f"config experiment {cfg.get('experiment')!r} does not match "
+    exp = cfg.get("experiment") if isinstance(cfg, dict) else None
+    if exp != args.experiment:
+        print(f"config experiment {exp!r} does not match "
               f"command {args.experiment!r}", file=sys.stderr)
         return 2
-    return run(args.config, out_dir=args.out, jobs=args.jobs)
+    return run(args.config, out_dir=args.out)
 
 
 if __name__ == "__main__":

@@ -119,15 +119,11 @@ class _PlanarDomain:
     def polygonize(self, n: int = 512) -> "Polygon":
         return Polygon(self._polyline(n))
 
+    def signed_distance(self, pts) -> np.ndarray:
+        return _polygon_signed_distance(pts, self._sd_cache())
+
     def contains(self, pts) -> np.ndarray:
         return self.signed_distance(pts) < 0.0
-
-    def signed_distance(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        poly = self._sd_cache()
-        d = _dist_to_polyline(pts, poly)
-        inside = _inside_polygon(pts, poly)
-        return np.where(inside, -d, d)
 
     def _sd_cache(self) -> np.ndarray:
         if not hasattr(self, "_sd_poly"):
@@ -339,13 +335,9 @@ class Polygon:
         return self._enorm
 
     def signed_distance(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d = _dist_to_polyline(pts, self.vertices)
-        inside = _inside_polygon(pts, self.vertices)
-        return np.where(inside, -d, d)
+        return _polygon_signed_distance(pts, self.vertices)
 
-    def contains(self, pts):
-        return self.signed_distance(pts) < 0.0
+    contains = _PlanarDomain.contains
 
     def boundary_parameter(self, x0):
         x0 = np.asarray(x0, dtype=float)
@@ -379,6 +371,13 @@ def _polygon_area(v: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+def _polygon_signed_distance(pts, poly: np.ndarray) -> np.ndarray:
+    """Signed distance to the closed polygon ``poly``, negative inside."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    d = _dist_to_polyline(pts, poly)
+    return np.where(_inside_polygon(pts, poly), -d, d)
+
+
 def _inside_polygon(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """Crossing-number inside test, vectorized over points in bounded chunks."""
     x0, y0 = poly[:, 0], poly[:, 1]
@@ -394,14 +393,20 @@ def _inside_polygon(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dist_to_polyline(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Distance from each point to a closed polyline, chunked to bound memory."""
-    v0 = poly
-    v1 = np.roll(poly, -1, axis=0)
+def _dist_to_polyline(pts: np.ndarray, poly: np.ndarray,
+                      closed: bool = True) -> np.ndarray:
+    """Distance from each point to a polyline, chunked to bound memory.
+
+    An open polyline of one vertex is that point (a zero-length segment).
+    """
+    if closed or len(poly) == 1:
+        v0, v1 = poly, np.roll(poly, -1, axis=0)
+    else:
+        v0, v1 = poly[:-1], poly[1:]
     e = v1 - v0
     ee = np.maximum(np.sum(e * e, axis=1), 1e-300)
     out = np.empty(pts.shape[0])
-    chunk = max(1, int(4e6 / max(len(poly), 1)))
+    chunk = max(1, int(4e6 / max(len(v0), 1)))
     for lo in range(0, pts.shape[0], chunk):
         p = pts[lo:lo + chunk]
         w = p[:, None, :] - v0[None, :, :]
@@ -412,25 +417,29 @@ def _dist_to_polyline(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
     return out
 
 
-def _segments_properly_intersect(a0, a1, b0, b1) -> bool:
-    def orient(p, q, r):
-        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-    d1 = orient(a0, a1, b0)
-    d2 = orient(a0, a1, b1)
-    d3 = orient(b0, b1, a0)
-    d4 = orient(b0, b1, a1)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
 def _polyline_self_intersects(poly: np.ndarray) -> bool:
+    """True when two non-adjacent edges of the closed polyline properly cross.
+
+    Edge i is tested against every edge j > i + 1 at once (the closing edge
+    n - 1 is adjacent to edge 0); orientation signs decide a proper crossing.
+    """
+    a0 = poly
+    a1 = np.roll(poly, -1, axis=0)
     n = len(poly)
-    segs = [(poly[i], poly[(i + 1) % n]) for i in range(n)]
+
+    def orient(p, q, r):
+        return ((q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1])
+                - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0]))
+
     for i in range(n):
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
-                continue
-            if _segments_properly_intersect(*segs[i], *segs[j]):
-                return True
+        j = slice(i + 2, n - 1 if i == 0 else n)
+        b0, b1 = a0[j], a1[j]
+        d1 = orient(a0[i], a1[i], b0)
+        d2 = orient(a0[i], a1[i], b1)
+        d3 = orient(b0, b1, a0[i])
+        d4 = orient(b0, b1, a1[i])
+        if np.any(((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))):
+            return True
     return False
 
 

@@ -34,7 +34,14 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import GeometryError
-from .geometry import Polygon, classify_boundary, segment_in_domain
+from .geometry import (
+    Polygon,
+    _dist_to_polyline,
+    _polygon_area,
+    _polygon_signed_distance,
+    classify_boundary,
+    segment_in_domain,
+)
 
 _INSIDE_TOL = 1e-9
 
@@ -61,9 +68,7 @@ class RelativeHull:
     def area(self) -> float:
         if self.empty or self.is_degenerate:
             return 0.0
-        v = self.boundary_loop
-        x, y = v[:, 0], v[:, 1]
-        return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+        return abs(_polygon_area(self.boundary_loop))
 
     def contains(self, pts, tol: Optional[float] = None) -> np.ndarray:
         """Membership with tolerance (points within tol of the region count)."""
@@ -72,12 +77,9 @@ class RelativeHull:
             return np.zeros(len(pts), dtype=bool)
         if tol is None:
             tol = max(self.resolution, 1e-9)
-        loop = self.polyline if self.is_degenerate else self.boundary_loop
-        near = _dist_to_path(pts, loop, closed=not self.is_degenerate) <= tol
         if self.is_degenerate:
-            return near
-        inside = _winding_inside(pts, self.boundary_loop)
-        return inside | near
+            return _dist_to_polyline(pts, self.polyline, closed=False) <= tol
+        return _polygon_signed_distance(pts, self.boundary_loop) <= tol
 
     def boundary_arcs(self, n_samples: int = 2048,
                       tol: Optional[float] = None) -> list[tuple[float, float]]:
@@ -122,32 +124,6 @@ class SupportPrediction:
 #  helpers
 # ===================================================================== #
 
-def _dist_to_path(pts: np.ndarray, path: np.ndarray, closed: bool) -> np.ndarray:
-    v0 = path
-    v1 = np.roll(path, -1, axis=0) if closed else path[1:]
-    if not closed:
-        v0 = path[:-1]
-    if len(v0) == 0:
-        return np.linalg.norm(pts - path[0][None, :], axis=1)
-    e = v1 - v0
-    ee = np.maximum(np.sum(e * e, axis=1), 1e-300)
-    w = pts[:, None, :] - v0[None, :, :]
-    t = np.clip(np.einsum("pek,ek->pe", w, e) / ee[None, :], 0.0, 1.0)
-    proj = v0[None, :, :] + t[:, :, None] * e[None, :, :]
-    return np.sqrt(np.min(np.sum((pts[:, None, :] - proj) ** 2, axis=2), axis=1))
-
-
-def _winding_inside(pts: np.ndarray, loop: np.ndarray) -> np.ndarray:
-    x, y = pts[:, 0][:, None], pts[:, 1][:, None]
-    x0, y0 = loop[:, 0][None, :], loop[:, 1][None, :]
-    x1 = np.roll(loop[:, 0], -1)[None, :]
-    y1 = np.roll(loop[:, 1], -1)[None, :]
-    cond = (y0 <= y) != (y1 <= y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xint = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-    return (np.sum(cond & (x < xint), axis=1) % 2) == 1
-
-
 def _runs_to_intervals(ts: np.ndarray, member: np.ndarray) -> list:
     if not member.any():
         return []
@@ -174,7 +150,7 @@ def _runs_to_intervals(ts: np.ndarray, member: np.ndarray) -> list:
 
 
 def _domain_lattice(domain, spacing: float):
-    poly = domain.polygonize(512) if not isinstance(domain, Polygon) else domain
+    poly = domain.polygonize(512)
     lo = poly.vertices.min(axis=0)
     hi = poly.vertices.max(axis=0)
     nx = int(np.floor((hi[0] - lo[0]) / spacing)) + 1
@@ -300,7 +276,7 @@ def relative_convex_hull(domain, A, resolution: float = None) -> RelativeHull:
         raise GeometryError("relative hulls are two-dimensional")
     if resolution is None:
         resolution = domain.diameter() / 256.0
-    poly = domain.polygonize(512) if not isinstance(domain, Polygon) else domain
+    poly = domain.polygonize(512)
     pts = generator_points(domain, A, resolution)
     if len(pts) == 0:
         return RelativeHull(domain, poly, pts, np.empty((0, 2)), True,

@@ -156,14 +156,6 @@ class Jet:
             gpow = np.convolve(gpow, g.coeffs)[:order + 1]
         return Jet(out, order, 1)
 
-    def degree_slice(self, degree: int) -> np.ndarray:
-        """Coefficients of exact total degree ``degree`` (as a masked array copy)."""
-        mask = _total_degree_mask(degree, self.dim, self.coeffs.shape) & \
-            ~_total_degree_mask(degree - 1, self.dim, self.coeffs.shape)
-        out = np.zeros_like(self.coeffs)
-        out[mask] = self.coeffs[mask]
-        return out
-
     def max_coeff_through(self, degree: int) -> float:
         """Largest coefficient magnitude among terms of total degree <= degree."""
         mask = _total_degree_mask(degree, self.dim, self.coeffs.shape)
@@ -182,24 +174,3 @@ def _conv2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 out[i:i + b.shape[0], j:j + b.shape[1]] += row[j] * b
     return out
 
-
-def series_inverse(t_of_s: np.ndarray, order: int) -> np.ndarray:
-    """Invert a 1D power series t(s) with t(0)=0, t'(0) != 0; returns s(t)."""
-    t = np.asarray(t_of_s, dtype=complex)
-    if abs(t[1]) < 1e-300:
-        raise ZeroDivisionError("series not invertible: vanishing linear term")
-    s = np.zeros(order + 1, dtype=complex)
-    s[1] = 1.0 / t[1]
-    # Newton-free order-by-order matching of t(s(u)) = u.
-    for k in range(2, order + 1):
-        comp = np.zeros(order + 1, dtype=complex)
-        spow = np.zeros(order + 1, dtype=complex)
-        spow[0] = 1.0
-        for m in range(0, order + 1):
-            if m >= 1:
-                spow = np.convolve(spow, s)[:order + 1]
-            if m < len(t) and t[m] != 0.0:
-                comp += t[m] * spow
-        # coefficient of u^k must vanish; it is linear in s[k] with factor t[1]
-        s[k] -= comp[k] / t[1]
-    return s

@@ -34,7 +34,6 @@ class GridOperator:
     dx: float
     matrix: sp.csr_matrix
     points: np.ndarray            # (n, d) interior node coordinates
-    index: dict                   # structured index -> row
     scheme: str
     regularized_arms: int = 0     # Shortley-Weller arms clamped at 0.1 dx
     shape: Optional[tuple] = None
@@ -96,7 +95,7 @@ def assemble_1d(interval: Interval, h: float, X, n: int) -> GridOperator:
     lower = np.full(n - 1, -h * h / dx / dx - h * Xv / (2 * dx), dtype=complex)
     mat = sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
     return GridOperator(interval, h, np.array([Xv]), dx, mat,
-                        xs[:, None], {i: i for i in range(n)}, "centered-1d")
+                        xs[:, None], "centered-1d")
 
 
 def assemble_2d(domain, h: float, X, dx: float) -> GridOperator:
@@ -105,10 +104,8 @@ def assemble_2d(domain, h: float, X, dx: float) -> GridOperator:
     diam = domain.diameter()
     if diam / dx < 16:
         raise ResolutionError("grid must resolve the boundary: >= 16 cells across")
-    poly = domain
     # lattice covering the bounding box, half-cell margin
-    pts_box = domain.polygonize(256).vertices if hasattr(domain, "polygonize") \
-        else domain.vertices
+    pts_box = domain.polygonize(256).vertices
     lo = pts_box.min(axis=0) - 0.5 * dx
     hi = pts_box.max(axis=0) + 0.5 * dx
     nx = int(np.ceil((hi[0] - lo[0]) / dx)) + 1
@@ -158,15 +155,8 @@ def assemble_2d(domain, h: float, X, dx: float) -> GridOperator:
             theta = np.maximum(theta, 0.1)
             arms[cut, k] = theta * dx
 
-    rows, cols, vals = [], [], []
     hp, hm = arms[:, 0], arms[:, 1]   # x+ and x- arms
     vp, vm = arms[:, 2], arms[:, 3]   # y+ and y- arms
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
     diag = np.zeros(n, dtype=complex)
     # x direction: u_xx and u_x with unequal arms (exact on quadratics)
     diag += -h * h * (-2.0 / (hp * hm)) + h * Xv[0] * ((hp - hm) / (hp * hm))
@@ -175,17 +165,15 @@ def assemble_2d(domain, h: float, X, dx: float) -> GridOperator:
     coef_w = -h * h * (2.0 / (hm * (hp + hm))) + h * Xv[0] * (-hp / (hm * (hp + hm)))
     coef_n = -h * h * (2.0 / (vp * (vp + vm))) + h * Xv[1] * (vm / (vp * (vp + vm)))
     coef_s = -h * h * (2.0 / (vm * (vp + vm))) + h * Xv[1] * (-vp / (vm * (vp + vm)))
-    for k, coef in enumerate((coef_e, coef_w, coef_n, coef_s)):
-        has = nbr[:, k] >= 0
-        r = np.nonzero(has)[0]
-        for ri in r:
-            add(ri, nbr[ri, k], coef[ri])
-    mat = sp.coo_matrix((np.concatenate([vals, diag]),
-                         (np.concatenate([rows, np.arange(n)]),
-                          np.concatenate([cols, np.arange(n)]))),
+    # off-diagonal entries direction by direction, then the diagonal
+    rows = [np.nonzero(nbr[:, k] >= 0)[0] for k in range(4)]
+    cols = [nbr[r, k] for k, r in enumerate(rows)]
+    vals = [coef[r] for coef, r in zip((coef_e, coef_w, coef_n, coef_s), rows)]
+    mat = sp.coo_matrix((np.concatenate(vals + [diag]),
+                         (np.concatenate(rows + [np.arange(n)]),
+                          np.concatenate(cols + [np.arange(n)]))),
                         shape=(n, n), dtype=complex).tocsr()
-    op = GridOperator(domain, h, Xv, dx, mat, points,
-                      {"shape": (nx, ny)}, "shortley-weller-2d",
+    op = GridOperator(domain, h, Xv, dx, mat, points, "shortley-weller-2d",
                       regularized_arms=regularized, shape=(nx, ny))
     uniform = np.all(np.abs(arms - dx) < 1e-12 * dx, axis=1)
     # a row is uniform-stencil only if it and all neighbors are uncut

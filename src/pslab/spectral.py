@@ -242,9 +242,6 @@ class LocalizationProfile:
             if abs(total - 1.0) > tol:
                 raise AssertionError(f"{name} profile sums to {total}")
 
-    def mass_within_boundary_distance(self, dist: float) -> float:
-        return float(np.sum(self.node_mass[self.node_boundary_dist <= dist]))
-
     def mass_near_points(self, pts: np.ndarray, dist: float) -> float:
         tree = cKDTree(np.atleast_2d(pts))
         d, _ = tree.query(self.node_points)

@@ -85,10 +85,6 @@ class SpectralPoint:
         """Inside the closed instability region Re z >= (Im z)^2 / |X|^2."""
         return self.z.real >= self.z.imag ** 2 / self.field_norm ** 2
 
-    @property
-    def region_margin(self) -> float:
-        return self.z.real - self.z.imag ** 2 / self.field_norm ** 2
-
 
 # ===================================================================== #
 #  phase seed
@@ -560,10 +556,6 @@ class Quasimode:
             acc += sign * (chi[live] * interior + comm) * expf
         out[live] = acc
         return out
-
-    def boundary_points_frame(self, ts: np.ndarray) -> np.ndarray:
-        g = self.boundary_graph.eval(ts).real
-        return np.column_stack([g, ts])
 
     def ambient(self, w: np.ndarray) -> np.ndarray:
         """Map frame coordinates back to ambient points."""

@@ -88,6 +88,54 @@ class TestRunner:
         assert run(str(cfg)) == 2
         assert "params.h_list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment, section, patch, key", [
+        ("classify", None, {"domain": "disk"}, "domain"),
+        ("pseudospectrum", "domain", {"a": "zero"}, "domain.a"),
+        ("classify", "field", {"X": ["one", 0.0]}, "field.X"),
+        ("quasimode", "params", {"z": 1.0}, "params.z"),
+        ("quasimode", "params", {"z": [1.0, 0.5, 0.0]}, "params.z"),
+        ("pseudospectrum", "params", {"h_list": 0.05}, "params.h_list"),
+        ("pseudospectrum", "params", {"dx_rule": "8"}, "params.dx_rule"),
+        ("pseudospectrum", "params", {"resolution": 5}, "params.resolution"),
+        ("pseudospectrum", "params", {"rect": ["-0.5", "1.5", "-1", "1"]},
+         "params.rect"),
+        ("exit-time", "params", {"n_paths": 0}, "params.n_paths"),
+        ("exit-time", "params", {"dt": -1e-4}, "params.dt"),
+        ("spectrum", "params", {"h": -0.1}, "params.h"),
+    ], ids=["domain-string", "interval-a-string", "field-X-string", "z-scalar",
+            "z-three-entries", "h_list-scalar", "dx_rule-string",
+            "resolution-scalar", "rect-strings", "n_paths-zero", "dt-negative",
+            "spectrum-h-negative"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, experiment,
+                                      section, patch, key):
+        interval = {"type": "interval", "a": 0.0, "b": 1.0}
+        disk = {"type": "disk", "center": [0, 0], "radius": 1.0}
+        base = {
+            "classify": classify_config(tmp_path / "out"),
+            "quasimode": {"domain": disk, "field": {"X": [1.0, 0.0]},
+                          "params": {"z": [1.0, 0.5], "h": 0.05,
+                                     "x0": [1.0, 0.0]}},
+            "pseudospectrum": {"domain": interval, "field": {"X": [1.0]},
+                               "params": {"h_list": [0.05],
+                                          "rect": [-0.5, 1.5, -1.0, 1.0],
+                                          "resolution": [4, 3]}},
+            "exit-time": {"domain": interval, "field": {"X": [-0.8]},
+                          "params": {"h": 0.05, "dt": 6.25e-4, "seed": 5,
+                                     "n_paths": 20, "x0": [0.05],
+                                     "lambda": 0.1, "t_max": 1.0}},
+            "spectrum": {"domain": interval, "field": {"X": [1.0]},
+                         "params": {"h": 0.05, "k": 3, "n": 200}},
+        }[experiment]
+        cfg = json.loads(json.dumps(base)) | {
+            "experiment": experiment, "output_dir": str(tmp_path / "out")}
+        if section is None:
+            cfg |= patch
+        else:
+            cfg[section] |= patch
+        assert run(str(write_config(tmp_path, cfg))) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_cli_main_mismatch(self, tmp_path):
         cfg = write_config(tmp_path, classify_config(tmp_path / "out"))
         assert main(["hull", "--config", str(cfg)]) == 2

@@ -38,9 +38,23 @@ class TestDomainValidation:
         with pytest.raises(InvalidDomainError):
             Polygon([(0, 0), (0, 1), (1, 1), (1, 0)])  # clockwise
 
-    def test_polygon_simple(self):
-        with pytest.raises(InvalidDomainError):
-            Polygon([(0, 0), (1, 1), (1, 0), (0, 1)])  # bowtie
+    @pytest.mark.parametrize("vertices, error", [
+        pytest.param([(0, 0), (1, 1), (1, 0), (0, 1)], "counterclockwise",
+                     id="bowtie"),
+        pytest.param(Disk((0, 0), 1.0).polygonize(512).vertices, None,
+                     id="disk-512"),
+        pytest.param(Ellipse((0.5, -1), (2.0, 0.5), 0.3).polygonize(512).vertices,
+                     None, id="ellipse-512"),
+        # vertex 0 of a 600-gon pushed across the far side
+        pytest.param(np.vstack([[-1.2, 0.0], Disk((0, 0), 1.0).boundary_points(
+            np.arange(1, 600) / 600)]), "not simple", id="pushed-600-gon"),
+    ])
+    def test_polygon_simple(self, vertices, error):
+        if error is None:
+            Polygon(vertices)
+        else:
+            with pytest.raises(InvalidDomainError, match=error):
+                Polygon(vertices)
 
     def test_parametric_curve_closure(self):
         fn = lambda t: np.array([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)])

@@ -1,6 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from pslab.cli import run
 from pslab.geometry import Disk, Polygon
 from pslab.hull import (
     hausdorff_distance,
@@ -173,3 +177,37 @@ class TestPredictedSupport:
         assert pred.hull.area == pytest.approx(1.0, rel=0.05)
         h_total = arc_total(pred.hull_arcs)
         assert h_total > 0.95
+
+
+class TestBitIdentity:
+    """SHA-256 prefixes of the hull artifacts, recorded while hull.py kept its
+    own unchunked copies of the polyline distance and inside test.  They pin
+    the geodesic hull, its boundary arcs and the grid oracle bit for bit."""
+
+    DISK_GAMMA_PLUS = {
+        "experiment": "hull",
+        "domain": {"type": "disk", "center": [0.0, 0.0], "radius": 1.0},
+        "field": {"X": [1.0, 0.0]},
+        "params": {"generators": "gamma_plus", "resolution": 0.08,
+                   "oracle_spacing": 0.08},
+    }
+
+    @pytest.mark.parametrize("config, digests", [
+        pytest.param(json.loads((Path(__file__).parents[1] / "configs"
+                                 / "hull_lshape.json").read_text()),
+                     {"hull.geojson": "0858947c9f9ad8c8",
+                      "hull_arcs.csv": "73ab6ceb4a810609",
+                      "oracle_points.csv": "5fce4b246742040c"},
+                     id="lshape-config"),
+        pytest.param(DISK_GAMMA_PLUS,
+                     {"hull.geojson": "c159ebb6833f6170",
+                      "hull_arcs.csv": "8eabf2b8d62a4bf2",
+                      "oracle_points.csv": "f130a9911b48fafe"},
+                     id="disk-gamma-plus-0.08"),
+    ])
+    def test_artifact_digests(self, tmp_path, config, digests):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config | {"output_dir": str(tmp_path / "out")}))
+        assert run(str(cfg)) == 0
+        files = json.loads((tmp_path / "out" / "manifest.json").read_text())["files"]
+        assert {name: files[name][:16] for name in digests} == digests
