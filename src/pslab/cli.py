@@ -42,10 +42,8 @@ from .hull import (
 from .operators import assemble_1d, assemble_2d, conjugated_spectrum_oracle
 from .spectral import (
     eigenvalues,
-    fit_exponential_rate,
     pseudomode_localization,
     pseudospectrum_scan,
-    smallest_singular_value,
 )
 
 def fnum(x) -> str:
@@ -102,20 +100,22 @@ def build_field(block: dict, dimension: int) -> FieldSpec:
     return FieldSpec(numbers(block["X"], "field.X", (dimension,)))
 
 
-def require(params: dict, key: str, kind=None, positive: bool = False):
+def require(params: dict, key: str, kind=None, positive: bool = False,
+            prefix: str = "params"):
     """params[key]; a number of the given kind, > 0 if ``positive``."""
+    name = f"{prefix}.{key}"
     if key not in params:
-        raise ConfigError(f"params.{key}", "missing key")
+        raise ConfigError(name, "missing key")
     val = params[key]
     if kind is None:
         return val
-    num = float(numbers(val, f"params.{key}"))
+    num = float(numbers(val, name))
     if kind is int:
         if num != int(num):
-            raise ConfigError(f"params.{key}", "expected int")
+            raise ConfigError(name, "expected int")
         num = int(num)
     if positive and num <= 0:
-        raise ConfigError(f"params.{key}", "must be positive")
+        raise ConfigError(name, "must be positive")
     return num
 
 
@@ -154,6 +154,26 @@ def validate(config: dict):
                 "params.z",
                 "no-quasimode condition violated: quasimodes exist only for "
                 "Re z > (Im z)^2/|X|^2; on the boundary parabola there are none")
+        if "order" in params and require(params, "order", int) < 2:
+            raise ConfigError("params.order", "need an int >= 2")
+        if "n_max" in params and require(params, "n_max", int) < 0:
+            raise ConfigError("params.n_max", "need an int >= 0")
+        if params.get("backend", "jet") not in ("jet", "characteristic"):
+            raise ConfigError("params.backend", "must be jet or characteristic")
+        if "a_param" in params and not -1.0 < require(params, "a_param", float) < 1.0:
+            raise ConfigError("params.a_param", "must lie in (-1, 1)")
+        if "eps" in params:
+            require(params, "eps", float, positive=True)
+        if "radii" in params:
+            r_in, r_out = numbers(params["radii"], "params.radii", (2,))
+            if not 0.0 < r_in < r_out:
+                raise ConfigError("params.radii", "need 0 < r_inner < r_outer")
+        grid = params.get("grid", {})
+        if not isinstance(grid, dict):
+            raise ConfigError("params.grid", "expected an object")
+        for key in ("nx", "ny"):
+            if key in grid:
+                require(grid, key, int, positive=True, prefix="params.grid")
     elif exp == "pseudospectrum":
         hs = numbers(require(params, "h_list"), "params.h_list", (None,))
         if not len(hs) or any(h <= 0 for h in hs):
@@ -393,15 +413,15 @@ def run_quasimode(domain, field, params, art: Artifacts):
     z = complex(*params["z"])
     h = float(params["h"])
     q = build_quasimode(domain, field, params["x0"], z, h,
-                        order=params.get("order", 4),
-                        n_max=params.get("n_max", 0),
+                        order=int(params.get("order", 4)),
+                        n_max=int(params.get("n_max", 0)),
                         a_param=params.get("a_param", 0.5),
                         eps=params.get("eps", 1.0),
                         radii=tuple(params["radii"]) if "radii" in params else None,
                         backend=params.get("backend", "jet"))
     rep = quasimode_residual(q)
     gp = params.get("grid", {})
-    nx, ny = gp.get("nx", 160), gp.get("ny", 120)
+    nx, ny = int(gp.get("nx", 160)), int(gp.get("ny", 120))
     x0c = q.frame.x0
     half = 1.2 * q.cutoff.r_outer
     if domain.dimension == 1:

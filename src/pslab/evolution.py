@@ -21,8 +21,8 @@ the domain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -175,7 +175,14 @@ def evolve(op: GridOperator, mu: float, p: float, u0: np.ndarray, dt0: float,
            t_end: float, nonlinear: bool = True, threshold: float = 1e6,
            snapshot_times: Optional[Sequence[float]] = None,
            positivity_tol: float = 1e-12) -> EvolutionResult:
-    """IMEX integration of h u_t + (P - mu) u = u^p until t_end or blow-up."""
+    """IMEX integration of h u_t + (P - mu) u = u^p until t_end or blow-up.
+
+    The final step is clamped onto t_end: a step after which at most
+    1e-9 dt0 would remain ends the run at t_end, and a final step within
+    1e-9 (relative) of an already-factored dt takes that dt.  So no sliver
+    step is taken, no near-duplicate dt is factorized, and
+    times[-1] == t_end.
+    """
     h = op.h
     n = op.n
     u = np.asarray(u0, dtype=float).copy()
@@ -211,14 +218,16 @@ def evolve(op: GridOperator, mu: float, p: float, u0: np.ndarray, dt0: float,
             cap = 0.2 * h / max(sup ** (p - 1.0), 1e-300)
             while dt > cap:
                 dt *= 0.5
-        dt = min(dt, t_end - t) if t_end - t < dt else dt
+        dt = min(dt, t_end - t)
+        dt = next((d for d in lus if abs(dt - d) <= 1e-9 * d), dt)
+        last = t_end - t - dt <= 1e-9 * dt0
         dt_min = min(dt_min, dt)
         rhs = u + (dt / h) * np.maximum(u, 0.0) ** p if nonlinear else u.copy()
         u = solver(dt).solve(rhs)
         if float(u.min()) < -positivity_tol * max(1.0, float(np.max(np.abs(u)))):
             raise PslabError(
                 f"positivity lost at t = {t:.5f}: min u = {u.min():.3e}")
-        t += dt
+        t = t_end if last else t + dt
         sup = float(np.max(np.abs(u)))
         times.append(t)
         sups.append(sup)

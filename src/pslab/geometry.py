@@ -559,16 +559,6 @@ def boundary_frame(domain, field_like, x0) -> BoundaryFrame:
                          x_prime, e1p, field, t, curvature=kappa)
 
 
-def signed_distance(domain, x) -> np.ndarray | float:
-    """Signed Euclidean distance to the boundary, negative inside."""
-    if domain.dimension == 1:
-        return domain.signed_distance(x)
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    out = domain.signed_distance(arr)
-    return float(out[0]) if single else out
-
-
 # ===================================================================== #
 #  boundary graph jets (for the phase construction)
 # ===================================================================== #

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -368,6 +368,7 @@ def relhull_grid_oracle(domain, A, spacing: float,
     Disconnected fixpoints are bridged by taut grid paths and closed again;
     see the module docstring.
     """
+    from scipy import ndimage
     if spacing <= 0:
         raise GeometryError("spacing must be positive")
     nodes, (lo, sp_, nx, ny, inmask) = _domain_lattice(domain, spacing)
@@ -404,7 +405,8 @@ def relhull_grid_oracle(domain, A, spacing: float,
 
     S = closure(S)
     for _ in range(8):
-        comps = _components(S)
+        # 8-connected labels, numbered by first pixel in C order (0 = empty)
+        comps = ndimage.label(S, structure=np.ones((3, 3), dtype=int))[0]
         if comps.max() <= 1:
             break
         S = _bridge_components(S, comps, domain, lo, spacing, nx, ny, inmask)
@@ -427,28 +429,6 @@ def _snap_to_lattice(pt, lo, spacing, nx, ny, inmask):
                     best_d = d
                     best = (i, j)
     return best
-
-
-def _components(S: np.ndarray) -> np.ndarray:
-    """8-connected component labels (0 = empty)."""
-    lab = np.zeros_like(S, dtype=int)
-    cur = 0
-    nx, ny = S.shape
-    for i0, j0 in zip(*np.nonzero(S)):
-        if lab[i0, j0]:
-            continue
-        cur += 1
-        dq = deque([(i0, j0)])
-        lab[i0, j0] = cur
-        while dq:
-            i, j = dq.popleft()
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    a, b = i + di, j + dj
-                    if 0 <= a < nx and 0 <= b < ny and S[a, b] and not lab[a, b]:
-                        lab[a, b] = cur
-                        dq.append((a, b))
-    return lab
 
 
 def _bridge_components(S, comps, domain, lo, spacing, nx, ny, inmask):

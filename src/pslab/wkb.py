@@ -80,11 +80,6 @@ class SpectralPoint:
     def field_norm(self) -> float:
         return float(np.linalg.norm(self.X))
 
-    @property
-    def in_region(self) -> bool:
-        """Inside the closed instability region Re z >= (Im z)^2 / |X|^2."""
-        return self.z.real >= self.z.imag ** 2 / self.field_norm ** 2
-
 
 # ===================================================================== #
 #  phase seed
@@ -100,17 +95,6 @@ class PhaseSeed:
     beta: np.ndarray           # (2,) imaginary parts, both negative
     tangential_hessian: complex  # M = i*eps on the tangent space
     eps: float
-    a_param: float
-    exceptional_margin: float
-    exceptional: bool = False
-
-    @property
-    def nu1(self) -> float:
-        return self.frame.nu1
-
-    @property
-    def x_prime(self) -> float:
-        return self.frame.x_prime
 
     def covector_frame(self, root: int) -> np.ndarray:
         """d phi(x0) in frame coordinates (normal, tangential), field-scaled."""
@@ -163,8 +147,7 @@ def phase_seed(frame: BoundaryFrame, sp: SpectralPoint,
         raise NoQuasimodeError(
             f"z = {sp.z} is {kind} Re z = (Im z)^2/|X|^2: no quasimodes there")
     exc = nu1 ** 2 / 4.0
-    exc_margin = abs(zh - exc)
-    if exc_margin <= 1e-12 * max(1.0, abs(zh)):
+    if abs(zh - exc) <= 1e-12 * max(1.0, abs(zh)):
         raise ExceptionalPointError(
             f"z/|X|^2 = {zh} equals the excluded value <X,nu>^2/(4|X|^2) = {exc}")
     if d == 1 and zh.imag == 0.0 and zh.real >= exc:
@@ -194,8 +177,7 @@ def phase_seed(frame: BoundaryFrame, sp: SpectralPoint,
     num = zh.imag - xp * lam
     alpha = np.where(np.abs(roots_c) > 0, num / (2.0 * roots_c), 0.0)
 
-    seed = PhaseSeed(frame, sp, lam, c, alpha, beta, 1j * eps, eps, a_param,
-                     exc_margin)
+    seed = PhaseSeed(frame, sp, lam, c, alpha, beta, 1j * eps, eps)
     for root in (1, 2):
         res = seed.seed_residual(root)
         if res > _SEED_TOL * max(1.0, abs(sp.z)):
@@ -239,12 +221,17 @@ class PhaseJet:
     def eikonal_residual_jet(self) -> Jet:
         """Exact p_z(d phi) without truncation (degree up to 2*order-2)."""
         if "eik" not in self._cache:
-            grads = [Jet(g.coeffs, 2 * self.order, self.dim) for g in self.gradient()]
-            acc = Jet.constant(-self.z, 2 * self.order, self.dim)
-            for ax, g in enumerate(grads):
-                acc = acc + g.mul_full(g) + (1j * self.X_frame[ax]) * g
-            self._cache["eik"] = acc
+            lifted = Jet(self.jet.coeffs, 2 * self.order, self.dim)
+            self._cache["eik"] = _eikonal_value(lifted, self.X_frame, self.z)
         return self._cache["eik"]
+
+    def phase_data(self, pts: np.ndarray, w: np.ndarray):
+        """phi, frame gradient, laplacian and exact p_z(d phi) at frame
+        coordinates ``w`` (the ambient ``pts`` are not needed)."""
+        args = w.T
+        grad = np.stack([g.eval(*args) for g in self.gradient()], axis=1)
+        return (self.jet.eval(*args), grad, self.laplacian().eval(*args),
+                self.eikonal_residual_jet().eval(*args))
 
 
 @dataclass
@@ -252,11 +239,6 @@ class AmplitudeJet:
     jet: Jet
     n: int
     root: int
-
-
-def _graph_coefficient(phi: Jet, g: Jet, degree: int) -> complex:
-    """Coefficient of t^degree in phi(g(t), t)."""
-    return complex(phi.compose_graph(g).coeffs[degree])
 
 
 def _phi0_coeffs(seed: PhaseSeed, order: int) -> np.ndarray:
@@ -288,8 +270,16 @@ def solve_eikonal_jet(seed: PhaseSeed, boundary_graph: Jet, order: int
     out = []
     for root in (1, 2):
         xi = seed.covector_frame(root)
-        phi = _solve_phase_recursion(xi, X_frame, z, boundary_graph,
-                                     _phi0_coeffs(seed, order), order, d)
+        A = 2.0 * xi[0] + 1j * X_frame[0]
+        if abs(A) < 1e-12:
+            raise ExceptionalPointError("normal transport coefficient vanishes")
+        B = 2.0 * xi[1] + 1j * X_frame[1] if d == 2 else 0.0
+        phi = Jet.zero(order, d)
+        phi.coeffs[(1, 0)[:d]] = xi[0]
+        if d == 2:
+            phi.coeffs[0, 1] = xi[1]
+        _solve_slabs(phi, lambda p: _eikonal_value(p, X_frame, z), A, B,
+                     _phi0_coeffs(seed, order), boundary_graph, first=1)
         pj = PhaseJet(phi, order, root, seed, boundary_graph, X_frame, z)
         res = pj.eikonal_residual_jet().max_coeff_through(order - 1)
         if res > 1e-10 * max(1.0, abs(z)):
@@ -300,44 +290,40 @@ def solve_eikonal_jet(seed: PhaseSeed, boundary_graph: Jet, order: int
     return out[0], out[1]
 
 
-def _eikonal_value(phi: Jet, X_frame, z, order) -> Jet:
-    acc = Jet.constant(-z, order, phi.dim)
+def _eikonal_value(phi: Jet, X_frame, z) -> Jet:
+    """p_z(d phi) truncated at the order of ``phi``."""
+    acc = Jet.constant(-z, phi.order, phi.dim)
     for ax in range(phi.dim):
         g = phi.diff(ax)
         acc = acc + g.mul(g) + (1j * X_frame[ax]) * g
     return acc
 
 
-def _solve_phase_recursion(xi, X_frame, z, graph, phi0, order, d) -> Jet:
-    A = 2.0 * xi[0] + 1j * X_frame[0]
-    if abs(A) < 1e-12:
-        raise ExceptionalPointError("normal transport coefficient vanishes")
-    phi = Jet.zero(order, d)
-    if d == 1:
-        phi.coeffs[1] = xi[0]
-        for r in range(1, order):
-            e = _eikonal_value(phi, X_frame, z, order)
-            phi.coeffs[r + 1] = -e.coeffs[r] / (A * (r + 1))
-        return phi
+def _solve_slabs(jet: Jet, value, A, B, trace, graph: Jet, first: int) -> Jet:
+    """Fill the homogeneous slabs first+1..order of ``jet`` in place.
 
-    B = 2.0 * xi[1] + 1j * X_frame[1]
-    phi.coeffs[1, 0] = xi[0]
-    phi.coeffs[0, 1] = xi[1]
-    for r in range(1, order):
-        snew = r + 1
-        # boundary condition pins the pure-tangential coefficient first
-        phi.coeffs[0, snew] = 0.0
-        restr = _graph_coefficient(phi, graph, snew)
-        phi.coeffs[0, snew] = phi0[snew] - restr
-        # back-substitute the normal chain of the new slab
-        e = _eikonal_value(phi, X_frame, z, order)
-        for m in range(0, snew):
-            n = r - m
-            val = e.coeffs[m, n]
+    Slab s is chosen so that the degree s-1 part of value(jet) vanishes;
+    there value(jet) depends on slab s through A times the normal and B
+    times the tangential derivative.  In d = 2 the pure-tangential
+    coefficient is pinned first, so that the restriction of the jet to the
+    boundary graph v1 = graph(t) has Taylor coefficient trace[s]; the
+    normal chain of the slab is then back-substituted.
+    """
+    c = jet.coeffs
+    for s in range(first + 1, jet.order + 1):
+        if jet.dim == 1:
+            c[s] = -value(jet).coeffs[s - 1] / (A * s)
+            continue
+        c[0, s] = 0.0
+        c[0, s] = trace[s] - complex(jet.compose_graph(graph).coeffs[s])
+        e = value(jet).coeffs
+        for m in range(s):
+            n = s - 1 - m
+            val = e[m, n]
             if m >= 1:
-                val = val + B * (n + 1) * phi.coeffs[m, n + 1]
-            phi.coeffs[m + 1, n] = -val / (A * (m + 1))
-    return phi
+                val = val + B * (n + 1) * c[m, n + 1]
+            c[m + 1, n] = -val / (A * (m + 1))
+    return jet
 
 
 def solve_transport_jet(phase: PhaseJet, n_max: int, order: int
@@ -345,8 +331,7 @@ def solve_transport_jet(phase: PhaseJet, n_max: int, order: int
     """Amplitude jets psi_0..psi_{n_max}; residual vanishes through degree order-2."""
     d = phase.dim
     amp_order = order - 1
-    xi = np.array([complex(phase.jet.coeffs[(1,) + (0,) * (d - 1)]),
-                   complex(phase.jet.coeffs[0, 1]) if d == 2 else 0.0])[:d]
+    xi = phase.seed.covector_frame(phase.root)
     A = -2j * xi[0] + phase.X_frame[0]
     if abs(A) < 1e-12:
         raise ExceptionalPointError("transport coefficient vanishes")
@@ -354,10 +339,10 @@ def solve_transport_jet(phase: PhaseJet, n_max: int, order: int
 
     grad_phi = phase.gradient()
     lap_phi = phase.laplacian()
+    zero_trace = np.zeros(amp_order + 1, dtype=complex)
     amps: list[AmplitudeJet] = []
     prev: Optional[Jet] = None
     for n in range(n_max + 1):
-        bc0 = 1.0 if n == 0 else 0.0
         rhs = Jet.zero(amp_order, d) if prev is None else sum(
             (prev.diff(ax).diff(ax) for ax in range(d)), Jet.zero(amp_order, d))
 
@@ -368,26 +353,9 @@ def solve_transport_jet(phase: PhaseJet, n_max: int, order: int
                     + phase.X_frame[ax] * psi.diff(ax)
             return acc - Jet(rhs.coeffs, amp_order, d)
 
-        psi = Jet.zero(amp_order, d)
-        if d == 1:
-            psi.coeffs[0] = bc0
-            for r in range(0, amp_order):
-                tv = transport_value(psi)
-                psi.coeffs[r + 1] = -tv.coeffs[r] / (A * (r + 1))
-        else:
-            psi.coeffs[0, 0] = bc0
-            for snew in range(1, amp_order + 1):
-                r = snew - 1
-                psi.coeffs[0, snew] = 0.0
-                restr = _graph_coefficient(psi, phase.boundary_graph, snew)
-                psi.coeffs[0, snew] = (bc0 if snew == 0 else 0.0) - restr
-                tv = transport_value(psi)
-                for m in range(0, snew):
-                    n2 = r - m
-                    val = tv.coeffs[m, n2]
-                    if m >= 1:
-                        val = val + B * (n2 + 1) * psi.coeffs[m, n2 + 1]
-                    psi.coeffs[m + 1, n2] = -val / (A * (m + 1))
+        psi = Jet.constant(1.0 if n == 0 else 0.0, amp_order, d)
+        _solve_slabs(psi, transport_value, A, B, zero_trace,
+                     phase.boundary_graph, first=0)
         amps.append(AmplitudeJet(psi, n, phase.root))
         prev = psi
     return amps
@@ -467,28 +435,10 @@ class Quasimode:
         v2 = rel @ self.frame.tangent
         return np.column_stack([v1, v2])
 
-    def _phase_data(self, i: int, pts: np.ndarray, w: np.ndarray):
-        """phi, grad phi (frame), lap phi, and exact p_z(d phi) at the points."""
-        ph = self.phases[i]
-        if isinstance(ph, PhaseJet):
-            if self.dim == 1:
-                args = (w[:, 0],)
-            else:
-                args = (w[:, 0], w[:, 1])
-            phi = ph.jet.eval(*args)
-            grad = np.stack([g.eval(*args) for g in ph.gradient()], axis=1)
-            lap = ph.laplacian().eval(*args)
-            eik = ph.eikonal_residual_jet().eval(*args)
-            return phi, grad, lap, eik
-        return ph.phase_data(pts)       # characteristic backend
-
     def _amp_data(self, i: int, w: np.ndarray):
         """a = sum h^n psi_n and its frame gradient / laplacian at the points."""
         h = self.sp.h
-        if self.dim == 1:
-            args = (w[:, 0],)
-        else:
-            args = (w[:, 0], w[:, 1])
+        args = w.T
         a = np.zeros(w.shape[0], dtype=complex)
         ga = np.zeros((w.shape[0], self.dim), dtype=complex)
         la = np.zeros(w.shape[0], dtype=complex)
@@ -516,7 +466,7 @@ class Quasimode:
             wl, pl = w[live], pts[live]
             total = np.zeros(live.sum(), dtype=complex)
             for i, sign in ((0, 1.0), (1, -1.0)):
-                phi, _, _, _ = self._phase_data(i, pl, wl)
+                phi = self.phases[i].phase_data(pl, wl)[0]
                 a, _, _ = self._amp_data(i, wl)
                 total += sign * a * self._exp_phase(phi)
             out[live] = chi[live] * total
@@ -541,7 +491,7 @@ class Quasimode:
         lap_chi = ddchi[live] + dchi[live] * (self.dim - 1) / rl
         acc = np.zeros(live.sum(), dtype=complex)
         for i, sign in ((0, 1.0), (1, -1.0)):
-            phi, gphi, lphi, eik = self._phase_data(i, pl, wl)
+            phi, gphi, lphi, eik = self.phases[i].phase_data(pl, wl)
             a, ga, la = self._amp_data(i, wl)
             expf = self._exp_phase(phi)
             transport = np.zeros_like(a)
@@ -558,13 +508,17 @@ class Quasimode:
         return out
 
     def ambient(self, w: np.ndarray) -> np.ndarray:
-        """Map frame coordinates back to ambient points."""
-        w = np.atleast_2d(w)
-        if self.dim == 1:
-            return self.frame.x0[None, :] + w * self.frame.normal[None, :]
-        return (self.frame.x0[None, :]
-                + np.outer(w[:, 0], self.frame.normal)
-                + np.outer(w[:, 1], self.frame.tangent))
+        return _ambient(self.frame, w)
+
+
+def _ambient(frame: BoundaryFrame, w: np.ndarray) -> np.ndarray:
+    """Map frame coordinates back to ambient points."""
+    w = np.atleast_2d(w)
+    if frame.dimension == 1:
+        return frame.x0[None, :] + w * frame.normal[None, :]
+    return (frame.x0[None, :]
+            + np.outer(w[:, 0], frame.normal)
+            + np.outer(w[:, 1], frame.tangent))
 
 
 def collar_check(phases, boundary_graph, cutoff: Cutoff, dim: int,
@@ -579,14 +533,8 @@ def collar_check(phases, boundary_graph, cutoff: Cutoff, dim: int,
     if not np.any(sel):
         return True
     w = np.column_stack([g[sel], ts[sel]])
-    for ph in phases:
-        if isinstance(ph, PhaseJet):
-            vals = ph.jet.eval(w[:, 0], w[:, 1])
-        else:
-            vals = ph.phase_only_frame(w)
-        if np.any(vals.imag <= 0.0):
-            return False
-    return True
+    pts = _ambient(phases[0].seed.frame, w)
+    return not any(np.any(ph.phase_data(pts, w)[0].imag <= 0.0) for ph in phases)
 
 
 def assemble_quasimode(phases, amplitudes, sp: SpectralPoint,
@@ -986,8 +934,9 @@ class CharacteristicPhase:
                 "(outside the characteristic collar)")
         return t, y
 
-    def phase_data(self, pts: np.ndarray):
-        """phi, frame gradient, laplacian, and p_z(d phi) (identically ~0)."""
+    def phase_data(self, pts: np.ndarray, w: Optional[np.ndarray] = None):
+        """phi, frame gradient, laplacian, and p_z(d phi) (identically ~0) at
+        the ambient ``pts`` (the frame coordinates ``w`` are not needed)."""
         t, y = self._invert_chart(pts)
         xi = self._xi(y)
         phi = self._phi0(y) + t * (2.0 * self.z - 1j * _bdot(self.Xc[None, :], xi))
@@ -1002,18 +951,6 @@ class CharacteristicPhase:
         pz = _bdot(xi, xi) + 1j * _bdot(self.Xc[None, :], xi) - self.z
         return phi, grad, lap, pz
 
-    def phase_only_frame(self, w: np.ndarray) -> np.ndarray:
-        """Phase at frame coordinates (used by the collar check)."""
-        pts = (self.frame.x0[None, :]
-               + np.outer(w[:, 0], self.frame.normal)
-               + np.outer(w[:, 1], self.frame.tangent))
-        phi, _, _, _ = self.phase_data(pts)
-        return phi
-
-    def __call__(self, x) -> complex:
-        phi, _, _, _ = self.phase_data(np.atleast_2d(np.asarray(x, dtype=float)))
-        return complex(phi[0])
-
     def transported_amplitude(self, pts: np.ndarray) -> np.ndarray:
         """Closed-form leading amplitude sqrt(det J(0) / det J(t)) along rays."""
         t, y = self._invert_chart(pts)
@@ -1025,17 +962,3 @@ class CharacteristicPhase:
         d1 = 2.0 * (c[:, 0] * xip[:, 1] - c[:, 1] * xip[:, 0])
         return np.sqrt(d0 / (d0 + t * d1))
 
-
-def characteristic_phase(frame_or_seed, sp_or_none=None, domain=None, x=None,
-                         root: int = 1):
-    """Evaluate the characteristic phase at a single point.
-
-    Accepts either a prepared PhaseSeed or (frame, sp); the domain must be a
-    Disk or Ellipse.
-    """
-    if isinstance(frame_or_seed, PhaseSeed):
-        seed = frame_or_seed
-    else:
-        seed = phase_seed(frame_or_seed, sp_or_none)
-    ch = CharacteristicPhase(domain, seed, root)
-    return ch(x)

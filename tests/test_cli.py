@@ -102,10 +102,20 @@ class TestRunner:
         ("exit-time", "params", {"n_paths": 0}, "params.n_paths"),
         ("exit-time", "params", {"dt": -1e-4}, "params.dt"),
         ("spectrum", "params", {"h": -0.1}, "params.h"),
+        ("quasimode", "params", {"backend": "foo"}, "params.backend"),
+        ("quasimode", "params", {"order": 1}, "params.order"),
+        ("quasimode", "params", {"order": "4"}, "params.order"),
+        ("quasimode", "params", {"n_max": -1}, "params.n_max"),
+        ("quasimode", "params", {"radii": [0.3, 0.1]}, "params.radii"),
+        ("quasimode", "params", {"a_param": 2}, "params.a_param"),
+        ("quasimode", "params", {"eps": 0}, "params.eps"),
+        ("quasimode", "params", {"grid": {"nx": "a"}}, "params.grid.nx"),
     ], ids=["domain-string", "interval-a-string", "field-X-string", "z-scalar",
             "z-three-entries", "h_list-scalar", "dx_rule-string",
             "resolution-scalar", "rect-strings", "n_paths-zero", "dt-negative",
-            "spectrum-h-negative"])
+            "spectrum-h-negative", "backend-unknown", "order-one",
+            "order-string", "n_max-negative", "radii-reversed", "a_param-two",
+            "eps-zero", "grid-nx-string"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, experiment,
                                       section, patch, key):
         interval = {"type": "interval", "a": 0.0, "b": 1.0}

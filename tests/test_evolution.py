@@ -157,6 +157,29 @@ class TestEvolve:
         t2 = evolve(op, 0.2, 2.0, 1.02 * rep.values, 1e-4, 0.6).t_blowup
         assert abs(t1 - t2) / t2 < 0.02
 
+    @pytest.mark.parametrize("dt0, t_end, steps", [(1e-4, 0.6, 6000),
+                                                   (1e-3, 0.3, 300)])
+    def test_final_step_clamped(self, monkeypatch, dt0, t_end, steps):
+        # the accumulated time ends 5e-14 short of 0.6 (and 2.2e-16 short of
+        # the last 1e-3 step): no sliver step, no second factorization
+        import pslab.evolution as evolution
+        h = 0.01
+        op = fixture_operator(h, 400)
+        u0 = bump_initial_data(fixture_bump(h), op.points, h).values
+        real_splu = evolution.spla.splu
+        calls = []
+
+        def counting_splu(M):
+            calls.append(M.shape)
+            return real_splu(M)
+
+        monkeypatch.setattr(evolution.spla, "splu", counting_splu)
+        res = evolve(op, 0.2, 2.0, u0, dt0, t_end, nonlinear=False)
+        assert len(res.times) - 1 == steps
+        assert len(calls) == 1
+        assert abs(res.times[-1] - t_end) <= 1e-12
+        assert res.dt_min_used >= (1 - 1e-9) * dt0
+
     def test_instability_contrast(self):
         # amplitude cut by 100x still blows up before delta at smaller h:
         # the threshold is exponential in 1/h, not amplitude-polynomial

@@ -13,7 +13,6 @@ from pslab.geometry import (
     boundary_frame,
     boundary_graph_jet,
     classify_boundary,
-    signed_distance,
 )
 
 E1 = np.array([1.0, 0.0])
@@ -70,17 +69,17 @@ class TestDomainValidation:
 
 class TestSignedDistance:
     def test_disk_center(self):
-        assert signed_distance(Disk((0, 0), 1.0), [0.0, 0.0]) == pytest.approx(-1.0)
+        assert Disk((0, 0), 1.0).signed_distance([[0.0, 0.0]])[0] == pytest.approx(-1.0)
 
     def test_interval_interior(self):
-        assert signed_distance(Interval(0, 1), 0.25) == pytest.approx(-0.25)
+        assert Interval(0, 1).signed_distance(0.25) == pytest.approx(-0.25)
 
     def test_square_outside(self):
-        assert signed_distance(SQUARE, [2.0, 0.5]) == pytest.approx(1.0, abs=1e-12)
+        assert SQUARE.signed_distance([[2.0, 0.5]])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_ellipse_matches_polyline_resolution(self):
         ell = Ellipse((0, 0), (2, 1))
-        d = signed_distance(ell, [0.0, 0.0])
+        d = ell.signed_distance([[0.0, 0.0]])[0]
         assert d == pytest.approx(-1.0, abs=2e-3)
 
 

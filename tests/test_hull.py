@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -211,3 +212,14 @@ class TestBitIdentity:
         assert run(str(cfg)) == 0
         files = json.loads((tmp_path / "out" / "manifest.json").read_text())["files"]
         assert {name: files[name][:16] for name in digests} == digests
+
+    def test_oracle_bridges_three_components(self):
+        # generators on three prongs of a comb: the closure stays three
+        # components, and the bridge starts from the one labelled 1 (first
+        # pixel in C order); digest recorded with the Python BFS labelling
+        comb = Polygon([(0, 0), (5, 0), (5, 2), (4, 2), (4, 1), (3, 1), (3, 2),
+                        (2, 2), (2, 1), (1, 1), (1, 2), (0, 2)])
+        pts = relhull_grid_oracle(
+            comb, np.array([[0.5, 1.8], [2.5, 1.8], [4.5, 1.8]]), 0.1)
+        digest = hashlib.sha256(np.ascontiguousarray(pts).tobytes()).hexdigest()
+        assert (len(pts), digest[:16]) == (111, "0562df8cccc0e800")

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +14,7 @@ from pslab.errors import (
     SeedRestrictionError,
     WrongSideError,
 )
-from pslab.geometry import Disk, Interval, boundary_frame, boundary_graph_jet
+from pslab.geometry import Disk, Ellipse, Interval, boundary_frame, boundary_graph_jet
 from pslab.wkb import (
     CharacteristicPhase,
     QuadratureSpec,
@@ -18,7 +22,6 @@ from pslab.wkb import (
     SpectralPoint,
     assemble_quasimode,
     build_quasimode,
-    characteristic_phase,
     phase_seed,
     quasimode_residual,
     solve_eikonal_jet,
@@ -419,12 +422,6 @@ class TestCharacteristicBackend:
         a_jet = amps[0].jet.eval(w[:, 0], w[:, 1])
         assert np.allclose(a_ray, a_jet, atol=2e-4)
 
-    def test_wrapper_function(self):
-        sp = SpectralPoint(1 + 0.5j, 0.05, E1)
-        fr = unit_frame_2d()
-        val = characteristic_phase(fr, sp, domain=DISK, x=[0.99, 0.01])
-        assert np.isfinite(val.real) and np.isfinite(val.imag)
-
     def test_super_quadratic_residual_decay(self):
         # analytic phases + amplitude order 1: the ratio decays faster than
         # any power <= 2 across the sweep
@@ -437,3 +434,48 @@ class TestCharacteristicBackend:
             ratios.append(rep.ratio)
         slope = np.polyfit(np.log(hs), np.log(ratios), 1)[0]
         assert slope > 2.0
+
+
+def _digest(arrays) -> str:
+    m = hashlib.sha256()
+    for a in arrays:
+        m.update(np.ascontiguousarray(a).tobytes())
+    return m.hexdigest()[:16]
+
+
+ELLIPSE = Ellipse((0.1, -0.2), (1.2, 0.7), 0.4)
+
+
+class TestBitIdentity:
+    """SHA-256 prefixes of jets and residual norms, frozen from the separate
+    eikonal and transport recursions that the shared slab solver replaced."""
+
+    @pytest.mark.parametrize("domain, X, x0, want", [
+        (DISK, [1.0, 0.0], [1.0, 0.0], "d3056224812300e5"),
+        (ELLIPSE, [1.0, 0.0], ELLIPSE.boundary_points([0.0])[0],
+         "eb696b2089d7a616"),
+        (Interval(0, 1), [1.0], [1.0], "401ef21e031fc659"),
+    ], ids=["disk", "ellipse", "interval"])
+    def test_jet_coefficients(self, domain, X, x0, want):
+        # phase, eikonal-residual and amplitude jets at order 5, n_max = 1
+        fr = boundary_frame(domain, X, x0)
+        seed = phase_seed(fr, SpectralPoint(1 + 0.5j, 0.05, X))
+        arrays = []
+        for pj in solve_eikonal_jet(seed, boundary_graph_jet(domain, fr, 5), 5):
+            arrays += [pj.jet.coeffs, pj.eikonal_residual_jet().coeffs]
+            arrays += [a.jet.coeffs for a in solve_transport_jet(pj, 1, 5)]
+        assert _digest(arrays) == want
+
+    @pytest.mark.parametrize("backend, want", [
+        ("jet", "f99cae4de37db2c5"), ("characteristic", "adc92abab6b0c49c")],
+        ids=["jet", "characteristic"])
+    def test_residual_norms(self, backend, want):
+        # the configs/quasimode_disk.json point
+        cfg = json.loads((Path(__file__).parents[1] / "configs"
+                          / "quasimode_disk.json").read_text())["params"]
+        q = build_quasimode(DISK, E1, cfg["x0"], complex(*cfg["z"]), cfg["h"],
+                            order=cfg["order"], n_max=cfg["n_max"],
+                            backend=backend)
+        rep = quasimode_residual(q)
+        assert _digest([np.array([rep.norm_u, rep.norm_pzu, rep.ratio,
+                                  rep.norm_u_coarse, rep.norm_pzu_coarse])]) == want
