@@ -119,6 +119,21 @@ def require(params: dict, key: str, kind=None, positive: bool = False,
     return num
 
 
+# optional numeric keys the runners read: key -> (kind, must be positive)
+OPTIONAL_NUMBERS = {
+    "classify": {"tol": (float, True)},
+    "hull": {"n_samples": (int, True), "resolution": (float, True),
+             "oracle_spacing": (float, True)},
+    "spectrum": {"n": (int, True), "dx": (float, True), "shift": (float, False)},
+    "pseudomode": {"n": (int, True), "dx": (float, True)},
+    "exit-time": {"t_max": (float, True)},
+    "blowup": {"n": (int, True), "dt": (float, True), "t_end": (float, True),
+               "margin": (float, False), "alpha": (float, False)},
+}
+# optional lists of numbers
+OPTIONAL_LISTS = {"exit-time": ("survival_s",), "blowup": ("snapshot_times",)}
+
+
 def _region_margin(z: complex, field_norm: float) -> float:
     return z.real - z.imag ** 2 / field_norm ** 2
 
@@ -142,7 +157,9 @@ def validate(config: dict):
         if domain.dimension == 2 and n < 8:
             raise ConfigError("params.n_samples", "need at least 8 samples")
     elif exp == "hull":
-        require(params, "generators")
+        gens = require(params, "generators")
+        if gens != "gamma_plus":
+            numbers(gens, "params.generators", (None, 2))
         if domain.dimension != 2:
             raise ConfigError("domain", "hulls need a planar domain")
     elif exp in ("quasimode",):
@@ -208,6 +225,8 @@ def validate(config: dict):
         lam = require(params, "lambda", float)
         if lam < 0:
             raise ConfigError("params.lambda", "lambda must be nonnegative")
+        if "b" in params:
+            numbers(params["b"], "params.b", (domain.dimension,))
     elif exp == "blowup":
         if domain.dimension != 1:
             raise ConfigError("domain", "blow-up runs on an interval")
@@ -219,6 +238,16 @@ def validate(config: dict):
         bump = require(params, "bump")
         if not isinstance(bump, dict) or not {"center", "a", "delta"} <= set(bump):
             raise ConfigError("params.bump", "needs center, a and delta")
+        numbers(bump["center"], "params.bump.center", (1,))
+        for key in ("a", "delta", "cap_constant", "amplitude"):
+            if key in bump:
+                require(bump, key, float, positive=True, prefix="params.bump")
+    for key, (kind, positive) in OPTIONAL_NUMBERS.get(exp, {}).items():
+        if key in params:
+            require(params, key, kind, positive)
+    for key in OPTIONAL_LISTS.get(exp, ()):
+        if key in params:
+            numbers(params[key], f"params.{key}", (None,))
     return domain, field, params
 
 
@@ -467,7 +496,9 @@ def run_pseudospectrum(domain, field, params, art: Artifacts):
                                title=f"log10 sigma_min, h = {h:g}")
         art.write_bytes(f"heatmap_h{h:g}.svg", svg.encode())
         summary[str(h)] = {"min_sigma": float(g.sigma.min()),
-                           "max_sigma": float(g.sigma.max())}
+                           "max_sigma": float(g.sigma.max()),
+                           "n_at_floor": int(g.at_floor.sum()),
+                           "n_nonconverged": int((~g.converged).sum())}
     art.write_json("scan_summary.json", summary)
 
 
@@ -498,12 +529,7 @@ def run_pseudomode(domain, field, params, art: Artifacts):
         op = assemble_1d(domain, h, field.X, n)
     else:
         op = assemble_2d(domain, h, field.X, params.get("dx", h / 8))
-    support = None
-    pred = None
-    if domain.dimension == 2:
-        pred = predicted_support(domain, field)
-        support = pred.tight_points
-    sm, prof = pseudomode_localization(op, z, field, support_points=support)
+    sm, prof = pseudomode_localization(op, z, field)
     art.write_csv("radial_profile.csv", ["r0", "r1", "mass"],
                   [(prof.radial_edges[i], prof.radial_edges[i + 1],
                     prof.radial_mass[i]) for i in range(len(prof.radial_mass))])
@@ -516,6 +542,7 @@ def run_pseudomode(domain, field, params, art: Artifacts):
                    for p, m in zip(prof.node_points, prof.node_mass)])
     art.write_json("pseudomode_summary.json", {
         "sigma_min": sm.value, "at_floor": sm.at_floor,
+        "converged": sm.converged,
         "z": [z.real, z.imag], "h": h,
         "mass_by_class": prof.mass_by_class(),
     })

@@ -105,10 +105,6 @@ class Jet:
             c = _conv2(self.coeffs, other.coeffs)
         return Jet(c, order, self.dim)
 
-    def mul_full(self, other: "Jet") -> "Jet":
-        """Exact product without total-degree truncation loss."""
-        return self.mul(other, order=self.order + other.order)
-
     def power(self, n: int, order: int | None = None) -> "Jet":
         if order is None:
             order = self.order

@@ -110,12 +110,24 @@ class TestRunner:
         ("quasimode", "params", {"a_param": 2}, "params.a_param"),
         ("quasimode", "params", {"eps": 0}, "params.eps"),
         ("quasimode", "params", {"grid": {"nx": "a"}}, "params.grid.nx"),
+        ("spectrum", "params", {"n": "abc"}, "params.n"),
+        ("blowup", "params", {"t_end": "x"}, "params.t_end"),
+        ("exit-time", "params", {"t_max": "x"}, "params.t_max"),
+        ("hull", "params", {"oracle_spacing": "x"}, "params.oracle_spacing"),
+        ("classify", "params", {"tol": "x"}, "params.tol"),
+        ("blowup", "params", {"snapshot_times": ["x"]},
+         "params.snapshot_times"),
+        ("exit-time", "params", {"survival_s": 0.1}, "params.survival_s"),
+        ("hull", "params", {"generators": "corners"}, "params.generators"),
     ], ids=["domain-string", "interval-a-string", "field-X-string", "z-scalar",
             "z-three-entries", "h_list-scalar", "dx_rule-string",
             "resolution-scalar", "rect-strings", "n_paths-zero", "dt-negative",
             "spectrum-h-negative", "backend-unknown", "order-one",
             "order-string", "n_max-negative", "radii-reversed", "a_param-two",
-            "eps-zero", "grid-nx-string"])
+            "eps-zero", "grid-nx-string", "spectrum-n-string",
+            "t_end-string", "t_max-string", "oracle_spacing-string",
+            "tol-string", "snapshot_times-strings", "survival_s-scalar",
+            "generators-string"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, experiment,
                                       section, patch, key):
         interval = {"type": "interval", "a": 0.0, "b": 1.0}
@@ -135,6 +147,14 @@ class TestRunner:
                                      "lambda": 0.1, "t_max": 1.0}},
             "spectrum": {"domain": interval, "field": {"X": [1.0]},
                          "params": {"h": 0.05, "k": 3, "n": 200}},
+            "hull": {"domain": {"type": "polygon",
+                                "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]},
+                     "field": {"X": [1.0, 0.0]},
+                     "params": {"generators": [[0.1, 0.1], [0.9, 0.9]]}},
+            "blowup": {"domain": interval, "field": {"X": [1.0]},
+                       "params": {"h": 0.01, "mu": 0.2, "p": 2, "n": 200,
+                                  "bump": {"center": [0.15], "a": 0.05,
+                                           "delta": 0.36}}},
         }[experiment]
         cfg = json.loads(json.dumps(base)) | {
             "experiment": experiment, "output_dir": str(tmp_path / "out")}
