@@ -175,8 +175,12 @@ def validate(config: dict):
             raise ConfigError("params.order", "need an int >= 2")
         if "n_max" in params and require(params, "n_max", int) < 0:
             raise ConfigError("params.n_max", "need an int >= 0")
-        if params.get("backend", "jet") not in ("jet", "characteristic"):
+        backend = params.get("backend", "jet")
+        if backend not in ("jet", "characteristic"):
             raise ConfigError("params.backend", "must be jet or characteristic")
+        if backend == "characteristic" and not isinstance(domain, Disk):
+            raise ConfigError("params.backend",
+                              "the characteristic backend needs a disk domain")
         if "a_param" in params and not -1.0 < require(params, "a_param", float) < 1.0:
             raise ConfigError("params.a_param", "must lie in (-1, 1)")
         if "eps" in params:
@@ -206,7 +210,11 @@ def validate(config: dict):
                               "scan requires dx <= h/8 (dx_rule >= 8)")
     elif exp == "spectrum":
         require(params, "h", float, positive=True)
-        require(params, "k", int, positive=True)
+        k = require(params, "k", int, positive=True)
+        if domain.dimension == 1:
+            n = require(params, "n", int, positive=True) if "n" in params else 2000
+            if k > n // 4:
+                raise ConfigError("params.k", f"need k <= n // 4 = {n // 4}")
     elif exp == "pseudomode":
         z = complex(*numbers(require(params, "z"), "params.z", (2,)))
         require(params, "h", float, positive=True)
@@ -456,7 +464,7 @@ def run_quasimode(domain, field, params, art: Artifacts):
     if domain.dimension == 1:
         xs = np.linspace(max(domain.a, x0c[0] - half),
                          min(domain.b, x0c[0] + half), nx)
-        vals = q.evaluate(xs[:, None])
+        vals = q.fields(xs[:, None])[0]
         rows = [(x, 0.0, v.real, v.imag) for x, v in zip(xs, vals)]
     else:
         xs = np.linspace(x0c[0] - half, x0c[0] + half, nx)
@@ -465,7 +473,7 @@ def run_quasimode(domain, field, params, art: Artifacts):
         pts = np.column_stack([GX.ravel(), GY.ravel()])
         inside = domain.signed_distance(pts) < 0
         vals = np.zeros(len(pts), dtype=complex)
-        vals[inside] = q.evaluate(pts[inside])
+        vals[inside] = q.fields(pts[inside])[0]
         rows = [(p[0], p[1], v.real, v.imag) for p, v in zip(pts, vals)]
     art.write_csv("quasimode_grid.csv", ["x", "y", "re_u", "im_u"], rows)
     seed = q.phases[0].seed

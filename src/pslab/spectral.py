@@ -205,7 +205,8 @@ def eigenvalues(op: GridOperator, k: int, sigma_shift: complex = 0.0
                 ) -> EigenResult:
     """k eigenvalues of smallest real part (shift-invert near sigma_shift)."""
     if k > op.n // 4:
-        raise ValueError("k must not exceed a quarter of the dimension")
+        raise ResolutionError(
+            f"k = {k} exceeds a quarter of the dimension {op.n}: refine the grid")
     if op.n <= 400:
         vals = np.linalg.eigvals(op.matrix.toarray())
         order = np.argsort(vals.real)

@@ -51,7 +51,7 @@ from .errors import (
     SeedRestrictionError,
     WrongSideError,
 )
-from .geometry import BoundaryFrame, Disk, Ellipse, boundary_frame, boundary_graph_jet
+from .geometry import BoundaryFrame, Disk, boundary_frame, boundary_graph_jet
 from .jets import Jet
 
 _SEED_TOL = 1e-10
@@ -455,45 +455,30 @@ class Quasimode:
         ex = 1j * phi / self.sp.h
         return np.exp(np.clip(ex.real, -700.0, 700.0) + 1j * ex.imag)
 
-    def evaluate(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        w = self.frame_coords(pts)
-        r = np.linalg.norm(w, axis=1)
-        chi = self.cutoff.value(r)
-        out = np.zeros(pts.shape[0], dtype=complex)
-        live = chi > 0.0
-        if np.any(live):
-            wl, pl = w[live], pts[live]
-            total = np.zeros(live.sum(), dtype=complex)
-            for i, sign in ((0, 1.0), (1, -1.0)):
-                phi = self.phases[i].phase_data(pl, wl)[0]
-                a, _, _ = self._amp_data(i, wl)
-                total += sign * a * self._exp_phase(phi)
-            out[live] = chi[live] * total
-        return out
-
-    __call__ = evaluate
-
-    def pz_values(self, pts) -> np.ndarray:
-        """(P - z) u by the exact differentiation identity."""
+    def fields(self, pts) -> tuple[np.ndarray, np.ndarray]:
+        """u and (P - z) u at ``pts``, the latter by the exact
+        differentiation identity, from one phase and amplitude pass."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         w = self.frame_coords(pts)
         r = np.linalg.norm(w, axis=1)
         chi, dchi, ddchi = self.cutoff.derivatives(r)
-        out = np.zeros(pts.shape[0], dtype=complex)
+        u = np.zeros(pts.shape[0], dtype=complex)
+        pz_u = np.zeros(pts.shape[0], dtype=complex)
         live = chi > 0.0
         if not np.any(live):
-            return out
+            return u, pz_u
         wl, pl = w[live], pts[live]
         h = self.sp.h
         rl = np.maximum(r[live], 1e-300)
         grad_chi = dchi[live][:, None] * wl / rl[:, None]
         lap_chi = ddchi[live] + dchi[live] * (self.dim - 1) / rl
+        total = np.zeros(live.sum(), dtype=complex)
         acc = np.zeros(live.sum(), dtype=complex)
         for i, sign in ((0, 1.0), (1, -1.0)):
             phi, gphi, lphi, eik = self.phases[i].phase_data(pl, wl)
             a, ga, la = self._amp_data(i, wl)
             expf = self._exp_phase(phi)
+            total += sign * a * expf
             transport = np.zeros_like(a)
             for ax in range(self.dim):
                 transport += (-2j * gphi[:, ax] * ga[:, ax]
@@ -504,8 +489,9 @@ class Quasimode:
             comm = (-h * h * (lap_chi * a + 2 * np.einsum("pk,pk->p", grad_chi, grad_v))
                     + h * np.einsum("k,pk->p", self.X_frame, grad_chi) * a)
             acc += sign * (chi[live] * interior + comm) * expf
-        out[live] = acc
-        return out
+        u[live] = chi[live] * total
+        pz_u[live] = acc
+        return u, pz_u
 
     def ambient(self, w: np.ndarray) -> np.ndarray:
         return _ambient(self.frame, w)
@@ -539,9 +525,9 @@ def collar_check(phases, boundary_graph, cutoff: Cutoff, dim: int,
 
 def assemble_quasimode(phases, amplitudes, sp: SpectralPoint,
                        radii: Optional[tuple] = None,
-                       diameter: Optional[float] = None,
-                       auto_shrink: bool = True) -> Quasimode:
-    """Attach the cutoff and validate the collar positivity of Im(phase)."""
+                       diameter: Optional[float] = None) -> Quasimode:
+    """Attach the cutoff, shrinking it until Im(phase) is positive on the
+    collar."""
     first = phases[0]
     frame = first.seed.frame
     graph = first.boundary_graph
@@ -553,15 +539,6 @@ def assemble_quasimode(phases, amplitudes, sp: SpectralPoint,
     cut = Cutoff(r_in, r_out)
     dim = frame.dimension
     while not collar_check(phases, graph, cut, dim):
-        if not auto_shrink:
-            # scan inward for the widest passing radius to suggest
-            for shrink in np.linspace(0.9, 0.1, 17):
-                trial = Cutoff(r_in * shrink, r_out * shrink)
-                if collar_check(phases, graph, trial, dim):
-                    raise CutoffError(
-                        f"Im(phase) not positive on the collar; try radii "
-                        f"({r_in * shrink:.4g}, {r_out * shrink:.4g})")
-            raise CutoffError("Im(phase) not positive on any tested collar")
         r_in *= 0.75
         r_out *= 0.75
         if r_out < 1e-3 * (diameter or 1.0):
@@ -682,25 +659,18 @@ def _residual_norms(q: Quasimode, n_per_scale: int) -> tuple[float, float]:
     if q.dim == 1:
         pts = q.ambient(w1[:, None])
         wts = wt1
-        u = q.evaluate(pts)
-        pu = q.pz_values(pts)
-        nu = float(np.sqrt(np.sum(wts * np.abs(u) ** 2)))
-        npu = float(np.sqrt(np.sum(wts * np.abs(pu) ** 2)))
-        return nu, npu
-    w2_half, wt2_half = _gauss_on_panels(
-        _edge_refined_panels(math.sqrt(h), cut.r_outer + 1e-9,
-                             (cut.r_inner, cut.r_outer), h), n_per_scale)
-    w2 = np.concatenate([-w2_half[::-1], w2_half])
-    wt2 = np.concatenate([wt2_half[::-1], wt2_half])
-    W1, W2 = np.meshgrid(w1, w2, indexing="ij")
-    WT = np.outer(wt1, wt2)
-    g = q.boundary_graph.eval(W2.ravel()).real
-    v1 = W1.ravel() + g            # shear back to frame coordinates
-    v2 = W2.ravel()
-    pts = q.ambient(np.column_stack([v1, v2]))
-    u = q.evaluate(pts)
-    pu = q.pz_values(pts)
-    wts = WT.ravel()
+    else:
+        w2_half, wt2_half = _gauss_on_panels(
+            _edge_refined_panels(math.sqrt(h), cut.r_outer + 1e-9,
+                                 (cut.r_inner, cut.r_outer), h), n_per_scale)
+        w2 = np.concatenate([-w2_half[::-1], w2_half])
+        wt2 = np.concatenate([wt2_half[::-1], wt2_half])
+        W1, W2 = np.meshgrid(w1, w2, indexing="ij")
+        g = q.boundary_graph.eval(W2.ravel()).real
+        v1 = W1.ravel() + g            # shear back to frame coordinates
+        pts = q.ambient(np.column_stack([v1, W2.ravel()]))
+        wts = np.outer(wt1, wt2).ravel()
+    u, pu = q.fields(pts)
     nu = float(np.sqrt(np.sum(wts * np.abs(u) ** 2)))
     npu = float(np.sqrt(np.sum(wts * np.abs(pu) ** 2)))
     return nu, npu
@@ -723,71 +693,44 @@ def quasimode_residual(q: Quasimode, quad: QuadratureSpec | None = None
 
 
 # ===================================================================== #
-#  characteristic (analytic) phase backend, d = 2
+#  characteristic (analytic) phase backend, disks only
 # ===================================================================== #
 
 class _AnalyticBoundary:
-    """Complex-analytic boundary parametrization y -> x_b(y) near x0."""
+    """Complex-analytic arc-length parametrization y -> x_b(y) of a circle
+    near x0, with its first two derivatives, unit normal and normal
+    derivative; the Disk is the only domain whose boundary it represents."""
 
     def __init__(self, domain, frame: BoundaryFrame):
-        t0 = frame.t
-        self.theta0 = 2.0 * math.pi * t0
-        if isinstance(domain, Disk):
-            self.kind = "disk"
-            self.c = domain.center.astype(complex)
-            self.r = domain.radius
-            self.scale = 1.0 / domain.radius    # unit speed at y = 0
-        elif isinstance(domain, Ellipse):
-            self.kind = "ellipse"
-            self.c = domain.center.astype(complex)
-            self.ax = domain.semi_axes.astype(float)
-            self.rot = domain.rot.astype(float)
-            v = domain._velocity(np.array([t0]))[0]
-            self.scale = 2.0 * math.pi / np.linalg.norm(v)
-        else:
-            raise GeometryError(
-                "characteristic backend needs an analytic Disk or Ellipse boundary")
+        if not isinstance(domain, Disk):
+            raise GeometryError("characteristic backend needs a Disk boundary")
+        self.theta0 = 2.0 * math.pi * frame.t
+        self.c = domain.center.astype(complex)
+        self.r = domain.radius
+        self.scale = 1.0 / domain.radius    # unit speed at y = 0
 
     def _angle(self, y):
         return self.theta0 + self.scale * y
 
     def point(self, y):
         th = self._angle(y)
-        if self.kind == "disk":
-            return self.c[None, :] + self.r * np.stack([np.cos(th), np.sin(th)], axis=-1)
-        loc = np.stack([self.ax[0] * np.cos(th), self.ax[1] * np.sin(th)], axis=-1)
-        return self.c[None, :] + loc @ self.rot.T
+        return self.c[None, :] + self.r * np.stack([np.cos(th), np.sin(th)], axis=-1)
 
     def d1(self, y):
         th = self._angle(y)
-        if self.kind == "disk":
-            return self.r * self.scale * np.stack([-np.sin(th), np.cos(th)], axis=-1)
-        loc = self.scale * np.stack([-self.ax[0] * np.sin(th),
-                                     self.ax[1] * np.cos(th)], axis=-1)
-        return loc @ self.rot.T
+        return self.r * self.scale * np.stack([-np.sin(th), np.cos(th)], axis=-1)
 
     def d2(self, y):
         th = self._angle(y)
-        if self.kind == "disk":
-            return -self.r * self.scale ** 2 * np.stack([np.cos(th), np.sin(th)], axis=-1)
-        loc = -self.scale ** 2 * np.stack([self.ax[0] * np.cos(th),
-                                           self.ax[1] * np.sin(th)], axis=-1)
-        return loc @ self.rot.T
+        return -self.r * self.scale ** 2 * np.stack([np.cos(th), np.sin(th)], axis=-1)
 
     def normal(self, y):
         th = self._angle(y)
-        if self.kind == "disk":
-            return np.stack([np.cos(th), np.sin(th)], axis=-1)
-        loc = np.stack([np.cos(th) / self.ax[0], np.sin(th) / self.ax[1]], axis=-1)
-        return loc @ self.rot.T
+        return np.stack([np.cos(th), np.sin(th)], axis=-1)
 
     def dnormal(self, y):
         th = self._angle(y)
-        if self.kind == "disk":
-            return self.scale * np.stack([-np.sin(th), np.cos(th)], axis=-1)
-        loc = self.scale * np.stack([-np.sin(th) / self.ax[0],
-                                     np.cos(th) / self.ax[1]], axis=-1)
-        return loc @ self.rot.T
+        return self.scale * np.stack([-np.sin(th), np.cos(th)], axis=-1)
 
 
 def _bdot(a, b):
@@ -801,6 +744,9 @@ class CharacteristicPhase:
     With constant X the bicharacteristics are straight complex lines
     x = x_b(y) + t (2 xi(y) + i X); the phase is phi_0(y) + t (2z - i<X, xi>)
     and d phi = xi(y), so p_z(x, d phi) = 0 holds identically.
+
+    The boundary x_b(y) is the analytic continuation of a circle, so only a
+    Disk is supported; any other domain raises GeometryError.
     """
 
     def __init__(self, domain, seed: PhaseSeed, root: int):

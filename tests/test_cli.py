@@ -119,6 +119,19 @@ class TestRunner:
          "params.snapshot_times"),
         ("exit-time", "params", {"survival_s": 0.1}, "params.survival_s"),
         ("hull", "params", {"generators": "corners"}, "params.generators"),
+        ("spectrum", "params", {"n": 12, "k": 5}, "params.k"),
+        ("quasimode", None, {"domain": {"type": "ellipse", "center": [0, 0],
+                                        "semi_axes": [1.2, 0.7]},
+                             "params": {"z": [1.0, 0.5], "h": 0.05,
+                                        "x0": [1.2, 0.0],
+                                        "backend": "characteristic"}},
+         "params.backend"),
+        ("quasimode", None, {"domain": {"type": "interval", "a": 0.0, "b": 1.0},
+                             "field": {"X": [1.0]},
+                             "params": {"z": [1.0, 0.5], "h": 0.05,
+                                        "x0": [1.0],
+                                        "backend": "characteristic"}},
+         "params.backend"),
     ], ids=["domain-string", "interval-a-string", "field-X-string", "z-scalar",
             "z-three-entries", "h_list-scalar", "dx_rule-string",
             "resolution-scalar", "rect-strings", "n_paths-zero", "dt-negative",
@@ -127,7 +140,8 @@ class TestRunner:
             "eps-zero", "grid-nx-string", "spectrum-n-string",
             "t_end-string", "t_max-string", "oracle_spacing-string",
             "tol-string", "snapshot_times-strings", "survival_s-scalar",
-            "generators-string"])
+            "generators-string", "spectrum-k-over-quarter-n",
+            "characteristic-ellipse", "characteristic-interval"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, experiment,
                                       section, patch, key):
         interval = {"type": "interval", "a": 0.0, "b": 1.0}

@@ -160,7 +160,7 @@ class TestLocalization:
         disk = Disk((0, 0), 1.0)
         op = assemble_2d(disk, h, [1.0, 0.0], h / 8)
         q = build_quasimode(disk, [1.0, 0.0], [1.0, 0.0], 1 + 0.5j, h)
-        vec = q.evaluate(op.points)
+        vec = q.fields(op.points)[0]
         prof = localization_profile(op, vec, [1.0, 0.0])
         inside = prof.mass_in_cap([1.0, 0.0], q.cutoff.r_outer)
         assert inside > 0.99

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from pslab.errors import (
-    CutoffError,
     ExceptionalPointError,
+    GeometryError,
     NoQuasimodeError,
     OutOfChartError,
     ResolutionError,
@@ -20,7 +20,6 @@ from pslab.wkb import (
     QuadratureSpec,
     Quasimode,
     SpectralPoint,
-    assemble_quasimode,
     build_quasimode,
     phase_seed,
     quasimode_residual,
@@ -29,6 +28,7 @@ from pslab.wkb import (
 )
 
 DISK = Disk((0, 0), 1.0)
+ELLIPSE = Ellipse((0.1, -0.2), (1.2, 0.7), 0.4)
 E1 = np.array([1.0, 0.0])
 
 
@@ -259,20 +259,20 @@ class TestTransportJet:
 class TestQuasimode:
     def test_vanishes_at_base_point(self):
         q = build_quasimode(DISK, E1, [1.0, 0.0], 1 + 0.5j, 0.05)
-        assert abs(q.evaluate([[1.0, 0.0]])[0]) == 0.0
+        assert abs(q.fields([[1.0, 0.0]])[0][0]) == 0.0
 
     def test_zero_outside_cutoff(self):
         q = build_quasimode(DISK, E1, [1.0, 0.0], 1 + 0.5j, 0.05)
         far = q.ambient(np.array([[-q.cutoff.r_outer - 0.01, 0.0]]))
-        assert q.evaluate(far)[0] == 0.0
+        assert q.fields(far)[0][0] == 0.0
 
     def test_boundary_trace_small(self):
         # u on the boundary inside the collar vanishes to jet-truncation order
         q = build_quasimode(DISK, E1, [1.0, 0.0], 1 + 0.5j, 0.05)
         ts = np.linspace(-0.5 * q.cutoff.r_inner, 0.5 * q.cutoff.r_inner, 21)
         pts = DISK.boundary_points(np.arcsin(ts) / (2 * np.pi))
-        vals = np.abs(q.evaluate(pts))
-        interior_ref = np.abs(q.evaluate(q.ambient(np.array([[-q.sp.h, 0.0]]))))[0]
+        vals = np.abs(q.fields(pts)[0])
+        interior_ref = np.abs(q.fields(q.ambient(np.array([[-q.sp.h, 0.0]])))[0])[0]
         assert np.max(vals) < 5e-2 * interior_ref
 
     def test_two_exponential_profile_inward(self):
@@ -283,7 +283,7 @@ class TestQuasimode:
         seed = q.phases[0].seed
         s = np.linspace(0.05, 3.0, 13)
         pts = q.ambient(np.column_stack([-s * h, np.zeros_like(s)]))
-        got = np.abs(q.evaluate(pts))
+        got = np.abs(q.fields(pts)[0])
         xi1 = seed.covector_frame(1)[0]
         xi2 = seed.covector_frame(2)[0]
         ref = np.abs(np.exp(1j * xi1 * (-s * h) / h) - np.exp(1j * xi2 * (-s * h) / h))
@@ -291,19 +291,6 @@ class TestQuasimode:
         ref /= ref[0]
         assert np.allclose(got, ref, rtol=0.1)
         assert np.all(got[1:] > 0)
-
-    def test_cutoff_error_when_not_shrinking(self):
-        # a weak tangential Hessian lets Im(phi) dip below zero on a wide
-        # collar; without auto-shrink that must surface as a cutoff error
-        sp = SpectralPoint(1 + 0.5j, 0.05, E1)
-        fr = unit_frame_2d()
-        seed = phase_seed(fr, sp, eps=0.05)
-        g = boundary_graph_jet(DISK, fr, 4)
-        p1, p2 = solve_eikonal_jet(seed, g, 4)
-        amps = (solve_transport_jet(p1, 0, 4), solve_transport_jet(p2, 0, 4))
-        with pytest.raises(CutoffError):
-            assemble_quasimode((p1, p2), amps, sp, radii=(0.3, 0.6),
-                               auto_shrink=False)
 
     def test_auto_shrink_recovers(self):
         q = build_quasimode(DISK, E1, [1.0, 0.0], 1 + 0.5j, 0.05, eps=0.05)
@@ -422,6 +409,13 @@ class TestCharacteristicBackend:
         a_jet = amps[0].jet.eval(w[:, 0], w[:, 1])
         assert np.allclose(a_ray, a_jet, atol=2e-4)
 
+    def test_disk_only(self):
+        X = [1.0, 0.0]
+        fr = boundary_frame(ELLIPSE, X, ELLIPSE.boundary_points([0.0])[0])
+        seed = phase_seed(fr, SpectralPoint(1 + 0.5j, 0.05, X))
+        with pytest.raises(GeometryError):
+            CharacteristicPhase(ELLIPSE, seed, 1)
+
     def test_super_quadratic_residual_decay(self):
         # analytic phases + amplitude order 1: the ratio decays faster than
         # any power <= 2 across the sweep
@@ -442,8 +436,6 @@ def _digest(arrays) -> str:
         m.update(np.ascontiguousarray(a).tobytes())
     return m.hexdigest()[:16]
 
-
-ELLIPSE = Ellipse((0.1, -0.2), (1.2, 0.7), 0.4)
 
 
 class TestBitIdentity:
@@ -470,12 +462,28 @@ class TestBitIdentity:
         ("jet", "f99cae4de37db2c5"), ("characteristic", "adc92abab6b0c49c")],
         ids=["jet", "characteristic"])
     def test_residual_norms(self, backend, want):
-        # the configs/quasimode_disk.json point
-        cfg = json.loads((Path(__file__).parents[1] / "configs"
-                          / "quasimode_disk.json").read_text())["params"]
-        q = build_quasimode(DISK, E1, cfg["x0"], complex(*cfg["z"]), cfg["h"],
-                            order=cfg["order"], n_max=cfg["n_max"],
-                            backend=backend)
-        rep = quasimode_residual(q)
+        rep = quasimode_residual(_config_quasimode(backend))
         assert _digest([np.array([rep.norm_u, rep.norm_pzu, rep.ratio,
                                   rep.norm_u_coarse, rep.norm_pzu_coarse])]) == want
+
+    @pytest.mark.parametrize("backend, want", [
+        ("jet", "769768419e959613"), ("characteristic", "b7f9e73d0f4411d4")],
+        ids=["jet", "characteristic"])
+    def test_fields_pointwise(self, backend, want):
+        # u and P_z u at 50 interior points, all inside the cutoff support
+        # and 25 of them in the collar; frozen from the separate u and
+        # P_z u passes that fields() replaced
+        rng = np.random.default_rng(11)
+        r = rng.uniform(0.7, 0.995, 50)
+        th = rng.uniform(-0.45, 0.45, 50)
+        pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
+        assert _digest(_config_quasimode(backend).fields(pts)) == want
+
+
+def _config_quasimode(backend):
+    """The quasimode at the configs/quasimode_disk.json point."""
+    cfg = json.loads((Path(__file__).parents[1] / "configs"
+                      / "quasimode_disk.json").read_text())["params"]
+    return build_quasimode(DISK, E1, cfg["x0"], complex(*cfg["z"]), cfg["h"],
+                           order=cfg["order"], n_max=cfg["n_max"],
+                           backend=backend)
