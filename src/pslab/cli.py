@@ -4,7 +4,8 @@ Usage: pslab <experiment> --config <file> [--out DIR]
 
 Experiments: classify, hull, quasimode, pseudospectrum, spectrum, pseudomode,
 exit-time, blowup.  Validation failures exit with status 2 and name the
-offending key; compute failures exit with status 1.  Outputs are
+offending key; compute failures exit with status 1.  Files are written only
+when a run succeeds, so a failed run leaves no output directory.  Outputs are
 deterministic for a fixed config and seed: CSV files are RFC-4180 with '.'
 decimals and 17-significant-digit scientific notation, and the manifest
 lists every written file with its SHA-256 hash plus the verbatim config.
@@ -55,18 +56,30 @@ def fnum(x) -> str:
 #  config parsing and validation
 # ===================================================================== #
 
+def _has_bool(val) -> bool:
+    return isinstance(val, bool) or (isinstance(val, list)
+                                     and any(map(_has_bool, val)))
+
+
 def numbers(val, key: str, shape: tuple = ()) -> np.ndarray:
     """val as a finite float array of the given shape (None: any length)."""
     try:
         arr = np.asarray(val)
     except ValueError:          # ragged nesting
         arr = None
-    if (arr is None or arr.dtype.kind not in "iuf" or arr.ndim != len(shape)
+    # numpy reads [1.0, true] as [1.0, 1.0]; JSON booleans are not numbers
+    if (arr is None or _has_bool(val) or arr.dtype.kind not in "iuf"
+            or arr.ndim != len(shape)
             or any(n is not None and n != m for n, m in zip(shape, arr.shape))
             or not np.all(np.isfinite(arr))):
         dims = "x".join("n" if n is None else str(n) for n in shape)
         raise ConfigError(key, f"expected {dims + ' numbers' if shape else 'a number'}")
     return arr.astype(float)
+
+
+# the key a domain constructor's own check is about
+_DOMAIN_SHAPE_KEY = {"interval": "domain.b", "disk": "domain.radius",
+                     "ellipse": "domain.semi_axes", "polygon": "domain.vertices"}
 
 
 def build_domain(block: dict):
@@ -89,8 +102,10 @@ def build_domain(block: dict):
                                    (None, 2)))
     except KeyError as e:
         raise ConfigError(f"domain.{e.args[0]}", "missing key") from e
+    except ConfigError:
+        raise
     except PslabError as e:
-        raise ConfigError("domain", str(e)) from e
+        raise ConfigError(_DOMAIN_SHAPE_KEY[kind], str(e)) from e
     raise ConfigError("domain.type", f"unknown domain type {kind!r}")
 
 
@@ -128,7 +143,7 @@ OPTIONAL_NUMBERS = {
     "pseudomode": {"n": (int, True), "dx": (float, True)},
     "exit-time": {"t_max": (float, True)},
     "blowup": {"n": (int, True), "dt": (float, True), "t_end": (float, True),
-               "margin": (float, False), "alpha": (float, False)},
+               "margin": (float, False)},
 }
 # optional lists of numbers
 OPTIONAL_LISTS = {"exit-time": ("survival_s",), "blowup": ("snapshot_times",)}
@@ -144,6 +159,8 @@ def validate(config: dict):
     exp = config.get("experiment")
     if exp not in EXPERIMENTS:
         raise ConfigError("experiment", f"must be one of {EXPERIMENTS}")
+    if not isinstance(config.get("output_dir", ""), str):
+        raise ConfigError("output_dir", "expected a path string")
     domain = build_domain(config.get("domain", {}))
     field = build_field(config.get("field", {"X": [1.0] * domain.dimension}),
                         domain.dimension)
@@ -227,19 +244,33 @@ def validate(config: dict):
             raise ConfigError("params.dt",
                               "dt must not exceed h^2/4 to resolve the dynamics")
         require(params, "n_paths", int, positive=True)
-        if require(params, "seed", int) < 0:
-            raise ConfigError("params.seed", "seed must be nonnegative")
+        require(params, "seed", int)
+        if not 0 <= int(params["seed"]) < 2 ** 64:
+            # the first word of a path's Philox key
+            raise ConfigError("params.seed", "seed must lie in [0, 2^64)")
         numbers(require(params, "x0"), "params.x0", (domain.dimension,))
+        b = numbers(params.get("b", -field.X), "params.b", (domain.dimension,))
         lam = require(params, "lambda", float)
         if lam < 0:
             raise ConfigError("params.lambda", "lambda must be nonnegative")
-        if "b" in params:
-            numbers(params["b"], "params.b", (domain.dimension,))
+        if isinstance(domain, (Interval, Disk)):
+            # principal eigenvalue of the generator's conjugated form
+            lam1 = conjugated_spectrum_oracle(domain, h, -b, 1)[0]
+            if lam > 0.9 * lam1:
+                raise ConfigError(
+                    "params.lambda", f"lambda must not exceed 0.9 times the "
+                    f"principal eigenvalue {lam1:.6g}: the MGF may be infinite")
+        if "survival_s" in params and lam == 0:
+            raise ConfigError("params.lambda",
+                              "survival thresholds s / lambda need lambda > 0")
     elif exp == "blowup":
         if domain.dimension != 1:
             raise ConfigError("domain", "blow-up runs on an interval")
         require(params, "h", float, positive=True)
-        require(params, "mu", float, positive=True)
+        mu = require(params, "mu", float, positive=True)
+        if "alpha" in params and not 0 < require(params, "alpha", float) < mu:
+            raise ConfigError("params.alpha",
+                              "the subsolution rate needs 0 < alpha < mu")
         p = require(params, "p", float)
         if p not in (2.0, 3.0):
             raise ConfigError("params.p", "supported powers are 2 and 3")
@@ -264,15 +295,17 @@ def validate(config: dict):
 # ===================================================================== #
 
 class Artifacts:
+    """A run's files, held with their hashes until ``finish`` writes them
+    and the manifest: a run that fails creates no output directory."""
+
     def __init__(self, outdir: Path, raw_config: str):
         self.outdir = outdir
         self.raw_config = raw_config
+        self.files: dict[str, bytes] = {}
         self.hashes: dict[str, str] = {}
-        outdir.mkdir(parents=True, exist_ok=True)
 
     def write_bytes(self, name: str, data: bytes):
-        path = self.outdir / name
-        path.write_bytes(data)
+        self.files[name] = data
         self.hashes[name] = hashlib.sha256(data).hexdigest()
 
     def write_csv(self, name: str, header: list[str], rows):
@@ -296,6 +329,9 @@ class Artifacts:
                                 + "\n").encode())
 
     def finish(self):
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        for name, data in self.files.items():
+            (self.outdir / name).write_bytes(data)
         manifest = {
             "pslab_version": __version__,
             "config_echo": self.raw_config,
@@ -323,16 +359,16 @@ def _color(v: float) -> str:
     return "#%02x%02x%02x" % tuple(int(round(c)) for c in rgb)
 
 
-def emit_svg_heatmap(re_values, im_values, grid, out_path=None,
-                     log_scale: bool = True, field_norm: float | None = None,
-                     title: str = "") -> str:
-    """Cell-per-value SVG with a log color bar and optional parabola overlay."""
+def emit_svg_heatmap(re_values, im_values, grid,
+                     field_norm: float | None = None, title: str = "") -> str:
+    """Cell-per-value SVG of log10(grid) with a color bar and, given
+    field_norm, the parabola Re z = (Im z)^2 / |X|^2."""
     grid = np.asarray(grid, dtype=float)
     re_values = np.asarray(re_values, dtype=float)
     im_values = np.asarray(im_values, dtype=float)
     if grid.ndim != 2 or grid.shape != (len(im_values), len(re_values)):
         raise ConfigError("grid", "ragged or mismatched heatmap grid")
-    vals = np.log10(np.maximum(grid, 1e-300)) if log_scale else grid
+    vals = np.log10(np.maximum(grid, 1e-300))
     vmin, vmax = float(vals.min()), float(vals.max())
     span = vmax - vmin or 1.0
     W, H, margin = 640, 480, 60
@@ -389,18 +425,14 @@ def emit_svg_heatmap(re_values, im_values, grid, out_path=None,
         parts.append(f'<rect x="{W + 10}" y="{y:.2f}" width="18" '
                      f'height="{(H - 2 * margin) / nbar + 0.5:.2f}" '
                      f'fill="{_color(k / (nbar - 1))}"/>')
-    label = "log10 sigma_min" if log_scale else "sigma_min"
     parts.append(f'<text x="{W + 36}" y="{margin + 10}" font-size="10">'
                  f'{vmax:.2f}</text>')
     parts.append(f'<text x="{W + 36}" y="{H - margin}" font-size="10">'
                  f'{vmin:.2f}</text>')
     parts.append(f'<text x="{W + 44}" y="{H / 2}" font-size="10" '
-                 f'transform="rotate(-90 {W + 44} {H / 2})">{label}</text>')
+                 f'transform="rotate(-90 {W + 44} {H / 2})">log10 sigma_min</text>')
     parts.append("</svg>")
-    svg = "\n".join(parts) + "\n"
-    if out_path is not None:
-        Path(out_path).write_text(svg)
-    return svg
+    return "\n".join(parts) + "\n"
 
 
 # ===================================================================== #
@@ -561,8 +593,7 @@ def run_exit_time(domain, field, params, art: Artifacts):
                       simulate_exit_ensemble, survival_probability)
     h = float(params["h"])
     lam = float(params["lambda"])
-    b = params.get("b", (-field.X).tolist())
-    bvec = np.atleast_1d(np.asarray(b, dtype=float))
+    bvec = np.asarray(params.get("b", -field.X), dtype=float)
     t_max = params.get("t_max", default_t_max(h, lam) if lam > 0 else 100.0)
     ens = simulate_exit_ensemble(domain, bvec, h, params["x0"],
                                  float(params["dt"]), int(params["seed"]),
@@ -570,14 +601,12 @@ def run_exit_time(domain, field, params, art: Artifacts):
     rows = [(t, p[0], p[1] if len(p) > 1 else 0.0, bool(f))
             for t, p, f in zip(ens.tau, ens.exit_points, ens.truncated)]
     art.write_csv("samples.csv", ["tau", "exit_x", "exit_y", "truncated"], rows)
-    lam1 = None
-    if domain.dimension == 1 and not callable(b):
-        lam1 = conjugated_spectrum_oracle(domain, h, -bvec, 1)[0]
-    est = mgf_estimate(ens, lam, h, lambda1=lam1)
+    # validate() keeps lambda below 0.9 lambda_1 on an interval or a disk
+    est = mgf_estimate(ens, lam, h)
     payload = {"lambda": lam, "h": h, "mgf": est.estimate,
                "se": est.std_error, "truncated_fraction": est.truncated_fraction,
                "n_paths": est.n_paths, "t_max": est.t_max}
-    if domain.dimension == 1 and not callable(b):
+    if domain.dimension == 1:
         try:
             payload["bvp_value"] = float(
                 exit_mgf_bvp_1d(domain, float(bvec[0]), lam, h)(
@@ -594,8 +623,8 @@ def run_exit_time(domain, field, params, art: Artifacts):
 
 
 def run_blowup(domain, field, params, art: Artifacts):
-    from .evolution import (BumpSpec, bump_initial_data, evolve,
-                            subsolution_check)
+    from .evolution import (BLOWUP_THRESHOLD, BumpSpec, bump_initial_data,
+                            evolve, subsolution_check)
     h = float(params["h"])
     mu = float(params["mu"])
     p = float(params["p"])
@@ -621,7 +650,7 @@ def run_blowup(domain, field, params, art: Artifacts):
     art.write_csv("trajectory.csv", ["t", "x", "u"], rows)
     report = {
         "blew_up": res.blew_up, "t_blowup": res.t_blowup,
-        "threshold": res.threshold, "spectral_bound": spectral_bound,
+        "threshold": BLOWUP_THRESHOLD, "spectral_bound": spectral_bound,
         "parameters": {"h": h, "mu": mu, "p": p, "bump": bp},
         "bump_peak": rep.peak, "bump_cap": rep.cap,
     }

@@ -17,8 +17,8 @@ curvature +1/r everywhere).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .jets import Jet
 
 GLANCING_TOL = 1e-10
 _ON_BOUNDARY_TOL = 1e-10
+INSIDE_TOL = 1e-9       # closed-domain membership, relative to the diameter
 
 
 # ===================================================================== #
@@ -35,10 +36,9 @@ _ON_BOUNDARY_TOL = 1e-10
 
 @dataclass
 class FieldSpec:
-    """Constant field X for operator/quasimode work, optional drift b for SDEs."""
+    """Constant field X of the operator and the quasimodes."""
 
     X: np.ndarray
-    b: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         self.X = np.atleast_1d(np.asarray(self.X, dtype=float))
@@ -113,7 +113,7 @@ class _PlanarDomain:
         speed2 = np.sum(v * v, axis=1)
         return (v[:, 0] * a[:, 1] - v[:, 1] * a[:, 0]) / speed2 ** 1.5
 
-    def _polyline(self, n: int = 2048) -> np.ndarray:
+    def _polyline(self, n: int) -> np.ndarray:
         return self.boundary_points(np.arange(n) / n)
 
     def polygonize(self, n: int = 512) -> "Polygon":
@@ -443,15 +443,16 @@ def _polyline_self_intersects(poly: np.ndarray) -> bool:
     return False
 
 
-def segment_in_domain(domain, p, q, tol: float = 1e-9, n_samples: int = 0) -> bool:
-    """True when the closed segment [p, q] stays inside the closed domain."""
+def segment_in_domain(domain, p, q) -> bool:
+    """True when the closed segment [p, q] stays inside the closed domain,
+    sampled at least every 0.002 diameters."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if n_samples <= 0:
-        n_samples = max(8, int(np.linalg.norm(q - p) / (0.002 * max(domain.diameter(), 1e-12))) + 2)
+    n_samples = max(8, int(np.linalg.norm(q - p) / (0.002 * max(domain.diameter(), 1e-12))) + 2)
     s = np.linspace(0.0, 1.0, n_samples)
     pts = p[None, :] + s[:, None] * (q - p)[None, :]
-    return bool(np.all(domain.signed_distance(pts) <= tol * max(domain.diameter(), 1.0)))
+    return bool(np.all(domain.signed_distance(pts)
+                       <= INSIDE_TOL * max(domain.diameter(), 1.0)))
 
 
 # ===================================================================== #
@@ -476,7 +477,6 @@ class BoundaryFrame:
     nu1: float
     x_prime: float
     e1_prime: Optional[np.ndarray]
-    field: FieldSpec
     t: float
     curvature: float = 0.0
 
@@ -537,7 +537,7 @@ def boundary_frame(domain, field_like, x0) -> BoundaryFrame:
         else:
             raise GeometryError(f"{x0[0]} is not an endpoint of {domain}")
         nu1 = float(xhat[0] * nu)
-        return BoundaryFrame(x0, np.array([nu]), None, nu1, 0.0, None, field, t)
+        return BoundaryFrame(x0, np.array([nu]), None, nu1, 0.0, None, t)
 
     t = domain.boundary_parameter(x0)
     p = domain.boundary_points([t])[0]
@@ -556,7 +556,7 @@ def boundary_frame(domain, field_like, x0) -> BoundaryFrame:
         tangent = np.array([-nu[1], nu[0]])  # CCW tangent fallback
     kappa = float(domain.boundary_curvature([t])[0])
     return BoundaryFrame(np.asarray(x0, dtype=float), nu, tangent, nu1,
-                         x_prime, e1p, field, t, curvature=kappa)
+                         x_prime, e1p, t, curvature=kappa)
 
 
 # ===================================================================== #

@@ -35,6 +35,7 @@ from scipy.spatial import cKDTree
 
 from .errors import GeometryError
 from .geometry import (
+    INSIDE_TOL,
     Polygon,
     _dist_to_polyline,
     _polygon_area,
@@ -43,7 +44,9 @@ from .geometry import (
     segment_in_domain,
 )
 
-_INSIDE_TOL = 1e-9
+_ARC_SAMPLES = 2048        # boundary samples behind RelativeHull.boundary_arcs
+_CLOSURE_ROUNDS = 60       # segment-closure sweeps of the grid oracle
+_CURVATURE_TOL = 1e-8      # |curvature| above which a shadow point is curved
 
 
 # ===================================================================== #
@@ -53,7 +56,6 @@ _INSIDE_TOL = 1e-9
 @dataclass
 class RelativeHull:
     domain: object
-    domain_polygon: Polygon
     generators: np.ndarray
     boundary_loop: np.ndarray      # closed loop (first point not repeated)
     is_degenerate: bool            # zero-area hull (polyline or point)
@@ -81,15 +83,13 @@ class RelativeHull:
             return _dist_to_polyline(pts, self.polyline, closed=False) <= tol
         return _polygon_signed_distance(pts, self.boundary_loop) <= tol
 
-    def boundary_arcs(self, n_samples: int = 2048,
-                      tol: Optional[float] = None) -> list[tuple[float, float]]:
+    def boundary_arcs(self) -> list[tuple[float, float]]:
         """Parameter intervals of the domain boundary lying in the hull."""
         if self.empty:
             return []
-        ts = np.arange(n_samples) / n_samples
+        ts = np.arange(_ARC_SAMPLES) / _ARC_SAMPLES
         pts = self.domain.boundary_points(ts)
-        member = self.contains(pts, tol=tol if tol is not None
-                               else 2.0 * max(self.resolution, 1e-9))
+        member = self.contains(pts, tol=2.0 * max(self.resolution, 1e-9))
         return _runs_to_intervals(ts, member)
 
     def rasterize(self, spacing: float) -> np.ndarray:
@@ -160,7 +160,7 @@ def _domain_lattice(domain, spacing: float):
     GX, GY = np.meshgrid(gx, gy, indexing="ij")
     nodes = np.column_stack([GX.ravel(), GY.ravel()])
     sd = domain.signed_distance(nodes)
-    keep = sd <= _INSIDE_TOL * max(domain.diameter(), 1.0)
+    keep = sd <= INSIDE_TOL * max(domain.diameter(), 1.0)
     return nodes[keep], (lo, spacing, nx, ny, keep.reshape(nx, ny))
 
 
@@ -195,10 +195,10 @@ def _reflex_vertices(poly: Polygon) -> np.ndarray:
     return v[cross < -1e-12]
 
 
-def _geodesic(domain, poly: Polygon, p: np.ndarray, q: np.ndarray,
-              tol: float) -> np.ndarray:
+def _geodesic(domain, poly: Polygon, p: np.ndarray, q: np.ndarray
+              ) -> np.ndarray:
     """Shortest path from p to q through the domain (A* over reflex vertices)."""
-    if segment_in_domain(domain, p, q, tol=tol):
+    if segment_in_domain(domain, p, q):
         return np.vstack([p, q])
     nodes = np.vstack([p[None, :], q[None, :], _reflex_vertices(poly)])
     n = len(nodes)
@@ -217,7 +217,7 @@ def _geodesic(domain, poly: Polygon, p: np.ndarray, q: np.ndarray,
         for j in range(n):
             if visited[j] or j == i:
                 continue
-            if not segment_in_domain(domain, nodes[i], nodes[j], tol=tol):
+            if not segment_in_domain(domain, nodes[i], nodes[j]):
                 continue
             nd = d + np.linalg.norm(nodes[i] - nodes[j])
             if nd < dist[j] - 1e-15:
@@ -236,38 +236,15 @@ def _geodesic(domain, poly: Polygon, p: np.ndarray, q: np.ndarray,
 #  the hull computation
 # ===================================================================== #
 
-def generator_points(domain, A, resolution: float) -> np.ndarray:
-    """Normalize a generator specification into a point array inside the domain.
-
-    A may be an (n, 2) array, a list of points, or a list of dicts with keys
-    "point" or "arc" (a boundary-parameter interval sampled at the given
-    resolution).  Points outside the closed domain are dropped (the hull of A
-    relative to B is by definition the hull of the intersection).
-    """
-    pts = []
-    if isinstance(A, np.ndarray):
-        pts.append(np.atleast_2d(A))
-    else:
-        for item in A:
-            if isinstance(item, dict):
-                if "point" in item:
-                    pts.append(np.atleast_2d(np.asarray(item["point"], float)))
-                elif "arc" in item:
-                    t0, t1 = item["arc"]
-                    span = (t1 - t0) % 1.0 or 1.0
-                    n = max(8, int(np.ceil(span * domain.diameter() * np.pi
-                                           / resolution)))
-                    ts = (t0 + span * np.arange(n + 1) / n) % 1.0
-                    pts.append(domain.boundary_points(ts))
-                else:
-                    raise GeometryError(f"unknown generator item {item}")
-            else:
-                pts.append(np.atleast_2d(np.asarray(item, float)))
-    if not pts:
-        return np.empty((0, 2))
-    allpts = np.vstack(pts)
+def generator_points(domain, A) -> np.ndarray:
+    """The generator points (an (n, 2) array or a list of points) inside the
+    closed domain; the others are dropped (the hull of A relative to B is by
+    definition the hull of the intersection)."""
+    allpts = np.asarray(A, dtype=float).reshape(-1, 2)
+    if len(allpts) == 0:
+        return allpts
     sd = domain.signed_distance(allpts)
-    return allpts[sd <= _INSIDE_TOL * max(domain.diameter(), 1.0) + 1e-12]
+    return allpts[sd <= INSIDE_TOL * max(domain.diameter(), 1.0) + 1e-12]
 
 
 def relative_convex_hull(domain, A, resolution: float = None) -> RelativeHull:
@@ -277,33 +254,32 @@ def relative_convex_hull(domain, A, resolution: float = None) -> RelativeHull:
     if resolution is None:
         resolution = domain.diameter() / 256.0
     poly = domain.polygonize(512)
-    pts = generator_points(domain, A, resolution)
+    pts = generator_points(domain, A)
     if len(pts) == 0:
-        return RelativeHull(domain, poly, pts, np.empty((0, 2)), True,
+        return RelativeHull(domain, pts, np.empty((0, 2)), True,
                             np.empty((0, 2)), resolution)
-    tol = _INSIDE_TOL
     if len(pts) == 1:
-        return RelativeHull(domain, poly, pts, pts.copy(), True, pts.copy(),
+        return RelativeHull(domain, pts, pts.copy(), True, pts.copy(),
                             resolution)
     hull_idx = _convex_hull_monotone(pts)
     hull_pts = pts[hull_idx]
     degenerate = len(hull_idx) <= 2
     if degenerate:
-        path = _geodesic(domain, poly, hull_pts[0], hull_pts[-1], tol)
+        path = _geodesic(domain, poly, hull_pts[0], hull_pts[-1])
         loop = np.vstack([path, path[::-1][1:-1]]) if len(path) > 2 else path
-        return RelativeHull(domain, poly, pts, loop, True, path, resolution)
+        return RelativeHull(domain, pts, loop, True, path, resolution)
     pieces = []
     for k in range(len(hull_pts)):
         a = hull_pts[k]
         b = hull_pts[(k + 1) % len(hull_pts)]
-        path = _geodesic(domain, poly, a, b, tol)
+        path = _geodesic(domain, poly, a, b)
         pieces.append(path[:-1])
     loop = np.vstack(pieces)
     # drop consecutive duplicates
     keep = np.ones(len(loop), dtype=bool)
     keep[1:] = np.linalg.norm(np.diff(loop, axis=0), axis=1) > 1e-12
     loop = loop[keep]
-    return RelativeHull(domain, poly, pts, loop, False, None, resolution)
+    return RelativeHull(domain, pts, loop, False, None, resolution)
 
 
 # ===================================================================== #
@@ -340,7 +316,7 @@ def _closure_sweep(pij: np.ndarray, targets_ij: np.ndarray, domain, S, lo,
     idx = np.nonzero(cand)[0]
     p = lo + spacing * pij
     targets = lo + spacing * targets_ij[idx]
-    tol = _INSIDE_TOL * max(domain.diameter(), 1.0)
+    tol = INSIDE_TOL * max(domain.diameter(), 1.0)
     lmax = float(np.max(np.linalg.norm(targets - p[None, :], axis=1)))
     ns = max(4, int(np.ceil(lmax / (0.4 * spacing))) + 1)
     s = np.linspace(0.0, 1.0, ns)
@@ -361,8 +337,7 @@ def _closure_sweep(pij: np.ndarray, targets_ij: np.ndarray, domain, S, lo,
     return changed
 
 
-def relhull_grid_oracle(domain, A, spacing: float,
-                        max_rounds: int = 60) -> np.ndarray:
+def relhull_grid_oracle(domain, A, spacing: float) -> np.ndarray:
     """Fixpoint of segment closure of the rasterized generators (test oracle).
 
     Disconnected fixpoints are bridged by taut grid paths and closed again;
@@ -372,7 +347,7 @@ def relhull_grid_oracle(domain, A, spacing: float,
     if spacing <= 0:
         raise GeometryError("spacing must be positive")
     nodes, (lo, sp_, nx, ny, inmask) = _domain_lattice(domain, spacing)
-    pts = generator_points(domain, A, spacing)
+    pts = generator_points(domain, A)
     if len(pts) == 0:
         return np.empty((0, 2))
     S = np.zeros((nx, ny), dtype=bool)
@@ -389,7 +364,7 @@ def relhull_grid_oracle(domain, A, spacing: float,
 
     def closure(S):
         frontier = S.copy()
-        for _ in range(max_rounds):
+        for _ in range(_CLOSURE_ROUNDS):
             cur_ij = np.column_stack(np.nonzero(S))
             new_ij = np.column_stack(np.nonzero(frontier))
             if len(cur_ij) == 0 or len(new_ij) == 0:
@@ -497,7 +472,7 @@ def _tighten_path(coords: np.ndarray, domain) -> np.ndarray:
         while i < len(path) - 1:
             j = len(path) - 1
             while j > i + 1:
-                if segment_in_domain(domain, path[i], path[j], tol=_INSIDE_TOL):
+                if segment_in_domain(domain, path[i], path[j]):
                     break
                 j -= 1
             out.append(path[j])
@@ -524,8 +499,7 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
 # ===================================================================== #
 
 def predicted_support(domain, field_X, n_samples: int = 1024,
-                      resolution: float = None,
-                      curvature_tol: float = 1e-8) -> SupportPrediction:
+                      resolution: float = None) -> SupportPrediction:
     """Boundary trace of the hull of the illuminated-plus-glancing set.
 
     The tighter planar prediction (the set itself) always applies in two
@@ -540,7 +514,7 @@ def predicted_support(domain, field_X, n_samples: int = 1024,
     tight_arcs = _runs_to_intervals(ts, member)
     hull = relative_convex_hull(domain, tight_pts, resolution)
     hull_arcs = hull.boundary_arcs()
-    shadow_curved = all(abs(s.curvature) > curvature_tol for s in samples
+    shadow_curved = all(abs(s.curvature) > _CURVATURE_TOL for s in samples
                         if s.classification == "shadow")
     rule = "planar+curvature" if shadow_curved else "planar"
     return SupportPrediction(hull, hull_arcs, tight_arcs, tight_pts, rule)

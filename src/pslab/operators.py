@@ -14,9 +14,7 @@ e^{<X,x>/2h} P e^{-<X,x>/2h} = -h^2*Laplace + |X|^2/4.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,7 +34,6 @@ class GridOperator:
     points: np.ndarray            # (n, d) interior node coordinates
     scheme: str
     regularized_arms: int = 0     # Shortley-Weller arms clamped at 0.1 dx
-    shape: Optional[tuple] = None
 
     @property
     def n(self) -> int:
@@ -62,12 +59,6 @@ class GridOperator:
         if self.dimension == 1:
             return np.ones(self.n, dtype=bool)
         return self._uniform_rows
-
-    def to_matrix_market(self) -> bytes:
-        buf = io.BytesIO()
-        from scipy.io import mmwrite
-        mmwrite(buf, self.matrix.tocoo())
-        return buf.getvalue()
 
     def grid_manifest(self) -> dict:
         return {
@@ -174,7 +165,7 @@ def assemble_2d(domain, h: float, X, dx: float) -> GridOperator:
                           np.concatenate(cols + [np.arange(n)]))),
                         shape=(n, n), dtype=complex).tocsr()
     op = GridOperator(domain, h, Xv, dx, mat, points, "shortley-weller-2d",
-                      regularized_arms=regularized, shape=(nx, ny))
+                      regularized_arms=regularized)
     uniform = np.all(np.abs(arms - dx) < 1e-12 * dx, axis=1)
     # a row is uniform-stencil only if it and all neighbors are uncut
     unif_rows = uniform.copy()

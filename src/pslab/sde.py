@@ -6,7 +6,7 @@ boundary-layer correction; the half-order discrete-crossing bias is accepted
 and covered by the coupled refinement check).  Randomness is drawn from
 counter-based Philox streams keyed by (seed, path_index): distinct paths use
 provably independent substreams, and a path's draw sequence depends only on
-its own key, so results are independent of batching and worker count.
+its own key, so results are independent of batching.
 
 One kernel steps every ensemble.  A constant drift is block-stepped: a
 sub-block of steps is advanced for all alive paths with one signed-distance
@@ -37,15 +37,7 @@ from .errors import SupercriticalError, UnreliableTailError
 _CHUNK = 256          # normals pre-drawn per path (the pair; the ensemble's floor)
 _BATCH = 16384        # paths simulated together
 _BLOCK = 65536        # path-steps per constant-drift sub-block; bounds scratch
-
-
-@dataclass
-class ExitTimeSample:
-    tau: float
-    exit_point: np.ndarray
-    truncated: bool
-    path_index: int
-    seed: int
+_WILSON_Z = 1.959963984540054   # two-sided 95% normal quantile
 
 
 @dataclass
@@ -62,10 +54,6 @@ class ExitEnsemble:
     def __len__(self):
         return len(self.tau)
 
-    def sample(self, i: int) -> ExitTimeSample:
-        return ExitTimeSample(float(self.tau[i]), self.exit_points[i],
-                              bool(self.truncated[i]), i, self.seed)
-
 
 @dataclass
 class MgfEstimate:
@@ -80,7 +68,6 @@ class MgfEstimate:
 
 @dataclass
 class SurvivalEstimate:
-    threshold: float
     probability: float
     lower: float
     upper: float
@@ -231,17 +218,6 @@ def simulate_exit_ensemble(domain, b, h: float, x0, dt: float, seed: int,
                      [(dt, 1, max_steps)], chunk, batch_size)[0]
 
 
-def simulate_exit(domain, b, h: float, x0, dt: float, seed: int,
-                  t_max: Optional[float] = None,
-                  path_index: int = 0) -> ExitTimeSample:
-    """Single path; identical to member ``path_index`` of the ensemble."""
-    if t_max is None:
-        t_max = default_t_max(h, 0.1)
-    ens = simulate_exit_ensemble(domain, b, h, x0, dt, seed,
-                                 n_paths=path_index + 1, t_max=t_max)
-    return ens.sample(path_index)
-
-
 def simulate_exit_refinement_pair(domain, b, h: float, x0, dt: float,
                                   seed: int, n_paths: int, t_max: float
                                   ) -> tuple[ExitEnsemble, ExitEnsemble]:
@@ -308,10 +284,9 @@ def exit_mgf_bvp_1d(interval, b: float, lam: float, h: float):
     return v
 
 
-def survival_probability(samples: ExitEnsemble, s: float, lam: float,
-                         confidence_z: float = 1.959963984540054
+def survival_probability(samples: ExitEnsemble, s: float, lam: float
                          ) -> SurvivalEstimate:
-    """Empirical P(tau >= s / lambda) with a Wilson interval."""
+    """Empirical P(tau >= s / lambda) with a 95% Wilson interval."""
     if len(samples) == 0:
         raise ValueError("empty sample set")
     threshold = s / lam
@@ -321,8 +296,8 @@ def survival_probability(samples: ExitEnsemble, s: float, lam: float,
                     samples.tau >= threshold)
     n = len(samples)
     p = float(np.mean(hits))
-    z2 = confidence_z ** 2
+    z2 = _WILSON_Z ** 2
     center = (p + z2 / (2 * n)) / (1 + z2 / n)
-    half = confidence_z * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / (1 + z2 / n)
-    return SurvivalEstimate(threshold, p, max(0.0, center - half),
+    half = _WILSON_Z * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / (1 + z2 / n)
+    return SurvivalEstimate(p, max(0.0, center - half),
                             min(1.0, center + half), bool(beyond))

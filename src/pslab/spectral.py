@@ -31,6 +31,10 @@ _SEED = 20210607
 # or 20, in 2,276, 1,704 and 1,718 solve pairs; an in-region z takes ncv + 1
 LANCZOS_NCV = 12
 LANCZOS_TOL = 1e-10
+# localization profile bins: distance to the boundary, and boundary arcs (2D)
+_RADIAL_BINS = 32
+_ARC_BINS = 64
+_ARC_SAMPLES = 4096          # classified boundary samples behind the arc bins
 
 
 @dataclass
@@ -109,16 +113,6 @@ class PseudospectrumGrid:
     at_floor: np.ndarray
     converged: np.ndarray
     in_region: np.ndarray
-    h: float
-    field_norm: float
-    dx: float
-
-    def parabola_overlay(self, n: int = 200) -> np.ndarray:
-        """Points of Re z = (Im z)^2 / |X|^2 within the scanned window."""
-        im = np.linspace(self.im_values.min(), self.im_values.max(), n)
-        re = im ** 2 / self.field_norm ** 2
-        keep = (re >= self.re_values.min()) & (re <= self.re_values.max())
-        return np.column_stack([re[keep], im[keep]])
 
     def rows(self):
         for j, b in enumerate(self.im_values):
@@ -145,11 +139,7 @@ def pseudospectrum_scan(domain, X, rect: tuple, resolution: tuple,
     res = np.linalg.norm(np.atleast_1d(np.asarray(X, dtype=float)))
     out = []
     for h in h_values:
-        dx = h / dx_rule
-        if domain.dimension == 2 and domain.diameter() / dx < 16:
-            raise ResolutionError(
-                f"dx = h/{dx_rule} under-resolves the domain at h = {h}")
-        op = _operator_for(domain, h, X, dx)
+        op = _operator_for(domain, h, X, h / dx_rule)
         res_vals = np.linspace(re_min, re_max, n_re)
         im_vals = np.linspace(im_min, im_max, n_im)
         # sigma, at_floor and converged of each z
@@ -160,8 +150,7 @@ def pseudospectrum_scan(domain, X, rect: tuple, resolution: tuple,
                 stats[:, j, i] = sm.value, sm.at_floor, sm.converged
         in_region = res_vals[None, :] >= (im_vals[:, None] ** 2) / res ** 2
         out.append(PseudospectrumGrid(res_vals, im_vals, stats[0],
-                                      stats[1] > 0, stats[2] > 0, in_region,
-                                      h, res, dx))
+                                      stats[1] > 0, stats[2] > 0, in_region))
     return out
 
 
@@ -207,10 +196,6 @@ def eigenvalues(op: GridOperator, k: int, sigma_shift: complex = 0.0
     if k > op.n // 4:
         raise ResolutionError(
             f"k = {k} exceeds a quarter of the dimension {op.n}: refine the grid")
-    if op.n <= 400:
-        vals = np.linalg.eigvals(op.matrix.toarray())
-        order = np.argsort(vals.real)
-        return EigenResult(vals[order][:k], True)
     A = op.matrix.tocsc()
     # a fixed ARPACK start vector: without one, scipy seeds it from OS
     # entropy and the returned eigenvalues vary between runs
@@ -238,8 +223,6 @@ class LocalizationProfile:
     arc_class: list
     node_mass: np.ndarray
     node_points: np.ndarray
-    node_boundary_dist: np.ndarray
-    node_arc_t: np.ndarray
 
     def check_normalized(self, tol: float = 1e-10):
         for name, arr in (("radial", self.radial_mass), ("arc", self.arc_mass)):
@@ -264,8 +247,7 @@ class LocalizationProfile:
         return out
 
 
-def localization_profile(op: GridOperator, vector: np.ndarray, field_X,
-                         n_radial: int = 32, n_arc: int = 64
+def localization_profile(op: GridOperator, vector: np.ndarray, field_X
                          ) -> LocalizationProfile:
     """Mass profile of |v|^2 over the operator grid against the boundary."""
     mass = np.abs(vector) ** 2
@@ -281,37 +263,35 @@ def localization_profile(op: GridOperator, vector: np.ndarray, field_X,
         arc_centers = np.array([0.0, 1.0])
     else:
         dist = np.abs(domain.signed_distance(pts))
-        n_samp = 4096
-        samples = classify_boundary(domain, field_X, n_samp)
+        samples = classify_boundary(domain, field_X, _ARC_SAMPLES)
         bnd_pts = np.array([s.point for s in samples])
         bnd_t = np.array([s.t for s in samples])
         tree = cKDTree(bnd_pts)
         _, nearest = tree.query(pts)
         arc_t = bnd_t[nearest]
-        edges = np.linspace(0.0, 1.0, n_arc + 1)
+        edges = np.linspace(0.0, 1.0, _ARC_BINS + 1)
         which = np.clip(np.searchsorted(edges, arc_t, side="right") - 1,
-                        0, n_arc - 1)
-        arc_mass = np.bincount(which, weights=mass, minlength=n_arc)
+                        0, _ARC_BINS - 1)
+        arc_mass = np.bincount(which, weights=mass, minlength=_ARC_BINS)
         arc_centers = 0.5 * (edges[:-1] + edges[1:])
         classes = []
         for c in arc_centers:
-            k = int(round(c * n_samp)) % n_samp
+            k = int(round(c * _ARC_SAMPLES)) % _ARC_SAMPLES
             classes.append(samples[k].classification)
     rmax = float(dist.max()) + 1e-12
-    redges = np.linspace(0.0, rmax, n_radial + 1)
+    redges = np.linspace(0.0, rmax, _RADIAL_BINS + 1)
     rbin = np.clip(np.searchsorted(redges, dist, side="right") - 1,
-                   0, n_radial - 1)
-    rmass = np.bincount(rbin, weights=mass, minlength=n_radial)
+                   0, _RADIAL_BINS - 1)
+    rmass = np.bincount(rbin, weights=mass, minlength=_RADIAL_BINS)
     prof = LocalizationProfile(redges, rmass, arc_centers, arc_mass, classes,
-                               mass, pts, dist, arc_t)
+                               mass, pts)
     prof.check_normalized()
     return prof
 
 
-def pseudomode_localization(op: GridOperator, z: complex, field_X,
-                            n_radial: int = 32, n_arc: int = 64
+def pseudomode_localization(op: GridOperator, z: complex, field_X
                             ) -> tuple[SigmaMin, LocalizationProfile]:
     """Minimal singular vector of (P - z) and its localization profile."""
     sm = smallest_singular_value(op, z)
-    prof = localization_profile(op, sm.vector, field_X, n_radial, n_arc)
+    prof = localization_profile(op, sm.vector, field_X)
     return sm, prof

@@ -55,6 +55,15 @@ from .geometry import BoundaryFrame, Disk, boundary_frame, boundary_graph_jet
 from .jets import Jet
 
 _SEED_TOL = 1e-10
+_COLLAR_SAMPLES = 400       # boundary samples of the cutoff collar check
+_CHART_NEWTON_STEPS = 60    # Newton steps of the characteristic chart inversion
+# residual quadrature: Gauss points per panel, the refined run's factor on
+# them, the largest relative change of either norm between the two runs,
+# and the widest panel in units of its scale
+_QUAD_POINTS = 12
+_QUAD_REFINE = 1.5
+_QUAD_MAX_REL_CHANGE = 0.01
+_PANEL_CAP = 6.0
 
 
 # ===================================================================== #
@@ -238,7 +247,6 @@ class PhaseJet:
 class AmplitudeJet:
     jet: Jet
     n: int
-    root: int
 
 
 def _phi0_coeffs(seed: PhaseSeed, order: int) -> np.ndarray:
@@ -356,7 +364,7 @@ def solve_transport_jet(phase: PhaseJet, n_max: int, order: int
         psi = Jet.constant(1.0 if n == 0 else 0.0, amp_order, d)
         _solve_slabs(psi, transport_value, A, B, zero_trace,
                      phase.boundary_graph, first=0)
-        amps.append(AmplitudeJet(psi, n, phase.root))
+        amps.append(AmplitudeJet(psi, n))
         prev = psi
     return amps
 
@@ -507,12 +515,11 @@ def _ambient(frame: BoundaryFrame, w: np.ndarray) -> np.ndarray:
             + np.outer(w[:, 1], frame.tangent))
 
 
-def collar_check(phases, boundary_graph, cutoff: Cutoff, dim: int,
-                 n_samples: int = 400) -> bool:
+def collar_check(phases, boundary_graph, cutoff: Cutoff, dim: int) -> bool:
     """Im(phi_i) > 0 on the boundary part of the cutoff collar, both phases."""
     if dim == 1:
         return True      # the boundary near x0 is the single point x0
-    ts = np.linspace(-cutoff.r_outer, cutoff.r_outer, n_samples)
+    ts = np.linspace(-cutoff.r_outer, cutoff.r_outer, _COLLAR_SAMPLES)
     g = boundary_graph.eval(ts).real
     r = np.hypot(g, ts)
     sel = (r >= cutoff.r_inner) & (r <= cutoff.r_outer)
@@ -524,16 +531,13 @@ def collar_check(phases, boundary_graph, cutoff: Cutoff, dim: int,
 
 
 def assemble_quasimode(phases, amplitudes, sp: SpectralPoint,
-                       radii: Optional[tuple] = None,
-                       diameter: Optional[float] = None) -> Quasimode:
-    """Attach the cutoff, shrinking it until Im(phase) is positive on the
-    collar."""
+                       radii: Optional[tuple], diameter: float) -> Quasimode:
+    """Attach the cutoff (default radii 0.15 and 0.3 domain diameters),
+    shrinking it until Im(phase) is positive on the collar."""
     first = phases[0]
     frame = first.seed.frame
     graph = first.boundary_graph
     if radii is None:
-        if diameter is None:
-            raise ValueError("radii or domain diameter required")
         radii = (0.15 * diameter, 0.30 * diameter)
     r_in, r_out = radii
     cut = Cutoff(r_in, r_out)
@@ -541,7 +545,7 @@ def assemble_quasimode(phases, amplitudes, sp: SpectralPoint,
     while not collar_check(phases, graph, cut, dim):
         r_in *= 0.75
         r_out *= 0.75
-        if r_out < 1e-3 * (diameter or 1.0):
+        if r_out < 1e-3 * diameter:
             raise CutoffError("collar check failed down to negligible radii")
         cut = Cutoff(r_in, r_out)
     X_frame = first.X_frame
@@ -570,25 +574,12 @@ def build_quasimode(domain, field_like, x0, z: complex, h: float,
         raise ValueError(f"unknown backend '{backend}'")
     amps = (solve_transport_jet(p1, n_max, order),
             solve_transport_jet(p2, n_max, order))
-    return assemble_quasimode(phases, amps, sp, radii=radii,
-                              diameter=domain.diameter())
+    return assemble_quasimode(phases, amps, sp, radii, domain.diameter())
 
 
 # ===================================================================== #
 #  residual quadrature
 # ===================================================================== #
-
-@dataclass
-class QuadratureSpec:
-    points_per_scale: int = 12
-    refine_factor: float = 1.5
-    max_rel_change: float = 0.01
-
-    def __post_init__(self):
-        if self.points_per_scale < 12:
-            raise ResolutionError(
-                "quadrature must carry at least 12 points per scale")
-
 
 @dataclass
 class ResidualReport:
@@ -599,8 +590,9 @@ class ResidualReport:
     norm_pzu_coarse: float
 
 
-def _panel_edges(scale: float, extent: float, cap: float = 6.0) -> np.ndarray:
-    """Doubling panels starting at ``scale``, width capped at ``cap * scale``.
+def _panel_edges(scale: float, extent: float) -> np.ndarray:
+    """Doubling panels starting at ``scale``, width capped at
+    ``_PANEL_CAP * scale``.
 
     The cap keeps every panel within a few oscillation wavelengths of the
     phase (which oscillates at scale h normally, sqrt(h) tangentially), so a
@@ -610,7 +602,7 @@ def _panel_edges(scale: float, extent: float, cap: float = 6.0) -> np.ndarray:
     a = min(scale, extent)
     while edges[-1] < extent:
         edges.append(min(edges[-1] + a, extent))
-        a = min(2.0 * a, cap * scale)
+        a = min(2.0 * a, _PANEL_CAP * scale)
     return np.asarray(edges)
 
 
@@ -676,16 +668,12 @@ def _residual_norms(q: Quasimode, n_per_scale: int) -> tuple[float, float]:
     return nu, npu
 
 
-def quasimode_residual(q: Quasimode, quad: QuadratureSpec | None = None
-                       ) -> ResidualReport:
+def quasimode_residual(q: Quasimode) -> ResidualReport:
     """L2 norms of u and (P-z)u over the cutoff support, with refinement check."""
-    quad = quad or QuadratureSpec()
-    n0 = quad.points_per_scale
-    n1 = int(math.ceil(n0 * quad.refine_factor))
-    nu0, npu0 = _residual_norms(q, n0)
-    nu1, npu1 = _residual_norms(q, n1)
-    if abs(nu1 - nu0) > quad.max_rel_change * nu1 or \
-       abs(npu1 - npu0) > quad.max_rel_change * max(npu1, 1e-300):
+    nu0, npu0 = _residual_norms(q, _QUAD_POINTS)
+    nu1, npu1 = _residual_norms(q, int(math.ceil(_QUAD_POINTS * _QUAD_REFINE)))
+    if abs(nu1 - nu0) > _QUAD_MAX_REL_CHANGE * nu1 or \
+       abs(npu1 - npu0) > _QUAD_MAX_REL_CHANGE * max(npu1, 1e-300):
         raise ResolutionError(
             f"quadrature under-resolved: ||u|| {nu0:.6e} -> {nu1:.6e}, "
             f"||P_z u|| {npu0:.6e} -> {npu1:.6e}")
@@ -839,7 +827,7 @@ class CharacteristicPhase:
                 + vp[:, None] * n + v[:, None] * n1)
 
     # -------------------------------------------------------------- #
-    def _invert_chart(self, pts: np.ndarray, maxit: int = 60):
+    def _invert_chart(self, pts: np.ndarray):
         """Newton solve of x_b(y) + t c(y) = x for (t, y), vectorized."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float)).astype(complex)
         rel = pts - self.x0[None, :]
@@ -849,7 +837,7 @@ class CharacteristicPhase:
         c0 = 2.0 * xi0 + 1j * self.Xc
         denom = c0 @ self.frame.normal.astype(complex)
         t = t / denom
-        for _ in range(maxit):
+        for _ in range(_CHART_NEWTON_STEPS):
             xi = self._xi(y)
             c = 2.0 * xi + 1j * self.Xc[None, :]
             F = self.bnd.point(y) + t[:, None] * c - pts

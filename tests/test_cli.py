@@ -132,6 +132,18 @@ class TestRunner:
                                         "x0": [1.0],
                                         "backend": "characteristic"}},
          "params.backend"),
+        ("exit-time", "params", {"seed": 1e30}, "params.seed"),
+        ("exit-time", "params", {"lambda": 1.0, "b": [0.8]}, "params.lambda"),
+        ("exit-time", "params", {"lambda": 0, "survival_s": [0.1]},
+         "params.lambda"),
+        ("exit-time", None, {"domain": {"type": "disk", "center": [0, 0],
+                                        "radius": 1.0},
+                             "field": {"X": [1.0, 0.0]},
+                             "params": {"h": 0.05, "dt": 5e-4, "seed": 1,
+                                        "n_paths": 20, "x0": [0.0, 0.0],
+                                        "lambda": 5.0, "t_max": 1.0}},
+         "params.lambda"),
+        ("blowup", "params", {"alpha": 0.5}, "params.alpha"),
     ], ids=["domain-string", "interval-a-string", "field-X-string", "z-scalar",
             "z-three-entries", "h_list-scalar", "dx_rule-string",
             "resolution-scalar", "rect-strings", "n_paths-zero", "dt-negative",
@@ -141,7 +153,10 @@ class TestRunner:
             "t_end-string", "t_max-string", "oracle_spacing-string",
             "tol-string", "snapshot_times-strings", "survival_s-scalar",
             "generators-string", "spectrum-k-over-quarter-n",
-            "characteristic-ellipse", "characteristic-interval"])
+            "characteristic-ellipse", "characteristic-interval",
+            "seed-beyond-philox-key", "lambda-above-principal-eigenvalue",
+            "lambda-zero-with-survival", "lambda-above-disk-eigenvalue",
+            "alpha-above-mu"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, experiment,
                                       section, patch, key):
         interval = {"type": "interval", "a": 0.0, "b": 1.0}
@@ -178,6 +193,19 @@ class TestRunner:
             cfg[section] |= patch
         assert run(str(write_config(tmp_path, cfg))) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_compute_failure_writes_nothing(self, tmp_path, capsys):
+        # validate() cannot see the disk grid's dimension; assembly can
+        cfg = write_config(tmp_path, {
+            "experiment": "spectrum",
+            "domain": {"type": "disk", "center": [0, 0], "radius": 1.0},
+            "field": {"X": [1.0, 0.0]},
+            "params": {"h": 0.1, "dx": 0.12, "k": 80},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert run(str(cfg)) == 1
+        assert "compute failed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_cli_main_mismatch(self, tmp_path):
@@ -273,7 +301,7 @@ class TestSvg:
     def test_monotone_colors(self):
         import re
         svg = emit_svg_heatmap([0, 1, 2, 3], [0.0],
-                               [[1e-4, 1e-3, 1e-2, 1e-1]], log_scale=True)
+                               [[1e-4, 1e-3, 1e-2, 1e-1]])
         fills = re.findall(r'fill="(#[0-9a-f]{6})"', svg)[:4]
         # increasing data must map to the same order as the color-bar ramp
         lum = [int(f[1:3], 16) + int(f[3:5], 16) + int(f[5:7], 16) for f in fills]

@@ -2,19 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from pslab.errors import GeometryError, PslabError
+from pslab.errors import GeometryError
 from pslab.evolution import (
     BumpSpec,
     bump_initial_data,
     evolve,
-    evolve_scalar,
     flow,
     scalar_blowup_time,
     subsolution_check,
 )
 from pslab.geometry import Interval
-from pslab.operators import assemble_1d, conjugated_spectrum_oracle
+from pslab.operators import GridOperator, assemble_1d
 from pslab.spectral import eigenvalues
 
 INTERVAL = Interval(0.0, 1.0)
@@ -103,10 +103,16 @@ class TestEvolve:
         assert res.sup_norms.max() == 0.0
 
     def test_scalar_ode_blowup_time(self):
+        # one node and P = 0: evolve integrates h u' = mu u + u^2, whose
+        # blow-up time has a closed form
         h, mu, u0 = 0.05, 0.3, 1e-3
+        op = GridOperator(INTERVAL, h, np.array([1.0]), 0.5,
+                          sp.csr_matrix((1, 1), dtype=complex),
+                          np.array([[0.5]]), "scalar")
+        res = evolve(op, mu, 2.0, np.array([u0]), h / 200.0, 10.0)
         want = scalar_blowup_time(u0, mu, 2.0, h)
-        got, _ = evolve_scalar(u0, mu, 2.0, h, dt0=h / 2000.0)
-        assert abs(got - want) / want < 0.02
+        assert res.blew_up
+        assert abs(res.t_blowup - want) / want < 0.02
 
     def test_linear_regime_decay_in_similarity_norm(self):
         # with mu < lambda_1 the conjugated operator is symmetric positive

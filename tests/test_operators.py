@@ -176,14 +176,6 @@ class TestOracle:
 
 
 class TestExport:
-    def test_matrix_market_roundtrip(self):
-        import scipy.io
-        import io
-        op = assemble_1d(INTERVAL, 0.05, 1.0, 20)
-        data = op.to_matrix_market()
-        back = scipy.io.mmread(io.BytesIO(data))
-        assert np.max(np.abs((back - op.matrix).toarray())) == 0.0
-
     def test_grid_manifest_keys(self):
         op = assemble_2d(Disk((0, 0), 1.0), 0.2, [1.0, 0.0], 1.0 / 20)
         man = op.grid_manifest()

@@ -10,7 +10,6 @@ from pslab.sde import (
     default_t_max,
     exit_mgf_bvp_1d,
     mgf_estimate,
-    simulate_exit,
     simulate_exit_ensemble,
     simulate_exit_refinement_pair,
     survival_probability,
@@ -21,8 +20,8 @@ INTERVAL = Interval(0.0, 1.0)
 
 class TestSimulation:
     def test_boundary_start_exits_immediately(self):
-        s = simulate_exit(INTERVAL, 0.0, 0.05, [0.0], 1e-4, seed=1, t_max=1.0)
-        assert s.tau == 0.0
+        ens = simulate_exit_ensemble(INTERVAL, 0.0, 0.05, [0.0], 1e-4, 1, 3, 1.0)
+        assert np.all(ens.tau == 0.0)
 
     def test_determinism_bitwise(self):
         a = simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 42, 64, 20.0)
@@ -30,11 +29,13 @@ class TestSimulation:
         assert np.array_equal(a.tau, b.tau)
         assert np.array_equal(a.exit_points, b.exit_points)
 
-    def test_single_path_matches_ensemble_member(self):
+    def test_member_independent_of_ensemble_size(self):
+        # path i draws from the stream keyed (seed, i) alone, so it does not
+        # depend on how many paths run beside it
         ens = simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 7, 5, 20.0)
-        one = simulate_exit(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 7, t_max=20.0,
-                            path_index=3)
-        assert one.tau == ens.tau[3]
+        four = simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 7, 4, 20.0)
+        assert np.array_equal(four.tau, ens.tau[:4])
+        assert np.array_equal(four.exit_points, ens.exit_points[:4])
 
     def test_batching_invariance(self):
         a = simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 9, 40, 20.0,

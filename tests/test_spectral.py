@@ -85,15 +85,13 @@ class TestScan:
         sig = np.array([g.sigma[0, 0] for g in grids])
         assert sig.max() / sig.min() <= 2.0
 
-    def test_region_flag_and_overlay(self):
+    def test_region_flag(self):
         grids = pseudospectrum_scan(INTERVAL, [1.0], (-0.5, 1.5, -1.0, 1.0),
                                     (5, 5), [0.05])
         g = grids[0]
         for a, b, s, flag in g.rows():
             assert flag == (a >= b * b)
             assert s > 0
-        overlay = g.parabola_overlay()
-        assert np.allclose(overlay[:, 0], overlay[:, 1] ** 2)
 
 
 class TestEigenvalues:
