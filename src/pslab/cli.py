@@ -3,13 +3,16 @@
 Usage: pslab <experiment> --config <file> [--out DIR]
 
 Experiments: classify, hull, quasimode, pseudospectrum, spectrum, pseudomode,
-exit-time, blowup.  Validation failures exit with status 2 and name the
-offending key; compute failures exit with status 1.  Files are written only
-when a run succeeds, so a failed run leaves no output directory.  Outputs are
-deterministic for a fixed config and seed: CSV files are RFC-4180 with '.'
-decimals and 17-significant-digit scientific notation, and the manifest
-lists every written file with its SHA-256 hash plus the verbatim config.
-The output directory may be overridden by --out or the PSLAB_OUT variable.
+exit-time, blowup.  Each one's params keys, kinds, defaults and bounds are
+declared once in ``REGISTRY``: an integral float is accepted wherever an
+integer is, and an undeclared key is an error.  Validation failures exit with
+status 2 and name the offending key; compute failures exit with status 1.
+Files are written only when a run succeeds, so a failed run leaves no output
+directory.  Outputs are deterministic for a fixed config and seed: CSV files
+are RFC-4180 with '.' decimals and 17-significant-digit scientific notation,
+and the manifest lists every written file with its SHA-256 hash plus the
+verbatim config.  The output directory may be overridden by --out or the
+PSLAB_OUT variable.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -115,178 +119,76 @@ def build_field(block: dict, dimension: int) -> FieldSpec:
     return FieldSpec(numbers(block["X"], "field.X", (dimension,)))
 
 
-def require(params: dict, key: str, kind=None, positive: bool = False,
-            prefix: str = "params"):
-    """params[key]; a number of the given kind, > 0 if ``positive``."""
-    name = f"{prefix}.{key}"
-    if key not in params:
-        raise ConfigError(name, "missing key")
-    val = params[key]
-    if kind is None:
+def _need(ok: bool, key: str, message: str):
+    if not ok:
+        raise ConfigError(key, message)
+
+
+REQUIRED = object()
+# A declared params key: ``kind`` numbers (int or float), an array of them
+# when ``shape`` is given ("d" is the domain dimension), or a nested block (a
+# dict of Keys); a value in ``choices`` is taken as it is.  ``default`` is a
+# value or a function of (the params read so far, the field); a block's
+# default is the block its keys' defaults fill in.  ``bound`` is (predicate,
+# message); ``dim`` limits the key to domains of that dimension.
+Key = namedtuple("Key", "kind default bound shape choices dim",
+                 defaults=(float, REQUIRED, None, None, (), None))
+
+
+def _read(val, name: str, key: Key, domain, field):
+    if isinstance(key.kind, dict):
+        return _read_block(val, key.kind, name, domain, field)
+    if val in key.choices:
         return val
-    num = float(numbers(val, name))
-    if kind is int:
-        if num != int(num):
-            raise ConfigError(name, "expected int")
-        num = int(num)
-    if positive and num <= 0:
-        raise ConfigError(name, "must be positive")
-    return num
+    _need(key.shape is not None or not key.choices, name,
+          "must be " + " or ".join(key.choices))
+    arr = numbers(val, name, tuple(domain.dimension if n == "d" else n
+                                   for n in key.shape or ()))
+    if key.kind is float:
+        val = arr.tolist()
+    else:
+        _need(not np.any(arr % 1), name, "expected integers")
+        if type(val) is not int:        # a JSON int stays exact past 2^53
+            val = [int(v) for v in arr] if key.shape else int(arr)
+    if key.bound:
+        _need(key.bound[0](val), name, key.bound[1])
+    return val
 
 
-# optional numeric keys the runners read: key -> (kind, must be positive)
-OPTIONAL_NUMBERS = {
-    "classify": {"tol": (float, True)},
-    "hull": {"n_samples": (int, True), "resolution": (float, True),
-             "oracle_spacing": (float, True)},
-    "spectrum": {"n": (int, True), "dx": (float, True), "shift": (float, False)},
-    "pseudomode": {"n": (int, True), "dx": (float, True)},
-    "exit-time": {"t_max": (float, True)},
-    "blowup": {"n": (int, True), "dt": (float, True), "t_end": (float, True),
-               "margin": (float, False)},
-}
-# optional lists of numbers
-OPTIONAL_LISTS = {"exit-time": ("survival_s",), "blowup": ("snapshot_times",)}
-
-
-def _region_margin(z: complex, field_norm: float) -> float:
-    return z.real - z.imag ** 2 / field_norm ** 2
+def _read_block(raw, keys: dict, prefix: str, domain, field) -> dict:
+    """raw read against its declared keys: every key that applies to the
+    domain present, int keys as int, float keys as float, arrays as lists."""
+    _need(isinstance(raw, dict), prefix, "expected an object")
+    keys = {n: k for n, k in keys.items() if k.dim in (None, domain.dimension)}
+    for name in raw:
+        _need(name in keys, f"{prefix}.{name}",
+              f"unknown key for a {domain.dimension}-D domain")
+    out = {}
+    for name, key in keys.items():
+        val = raw.get(name, key.default)
+        _need(val is not REQUIRED, f"{prefix}.{name}", "missing key")
+        if name in raw or isinstance(key.kind, dict):
+            val = _read(val, f"{prefix}.{name}", key, domain, field)
+        out[name] = val(out, field) if callable(val) else val
+    return out
 
 
 def validate(config: dict):
-    if not isinstance(config, dict):
-        raise ConfigError("config", "expected a JSON object")
+    """(domain, field, params) of a config; params holds every key the
+    experiment declares, normalized, with its default where absent."""
+    _need(isinstance(config, dict), "config", "expected a JSON object")
     exp = config.get("experiment")
-    if exp not in EXPERIMENTS:
-        raise ConfigError("experiment", f"must be one of {EXPERIMENTS}")
-    if not isinstance(config.get("output_dir", ""), str):
-        raise ConfigError("output_dir", "expected a path string")
+    _need(exp in EXPERIMENTS, "experiment", f"must be one of {EXPERIMENTS}")
+    _need(isinstance(config.get("output_dir", ""), str), "output_dir",
+          "expected a path string")
     domain = build_domain(config.get("domain", {}))
     field = build_field(config.get("field", {"X": [1.0] * domain.dimension}),
                         domain.dimension)
-    if field.norm == 0.0 and exp != "hull":
-        raise ConfigError("field.X", "field must be nonzero")
-    params = config.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("params", "expected an object")
-    if exp == "classify":
-        n = require(params, "n_samples", int)
-        if domain.dimension == 2 and n < 8:
-            raise ConfigError("params.n_samples", "need at least 8 samples")
-    elif exp == "hull":
-        gens = require(params, "generators")
-        if gens != "gamma_plus":
-            numbers(gens, "params.generators", (None, 2))
-        if domain.dimension != 2:
-            raise ConfigError("domain", "hulls need a planar domain")
-    elif exp in ("quasimode",):
-        z = complex(*numbers(require(params, "z"), "params.z", (2,)))
-        require(params, "h", float, positive=True)
-        numbers(require(params, "x0"), "params.x0", (domain.dimension,))
-        if _region_margin(z, field.norm) <= 0:
-            raise ConfigError(
-                "params.z",
-                "no-quasimode condition violated: quasimodes exist only for "
-                "Re z > (Im z)^2/|X|^2; on the boundary parabola there are none")
-        if "order" in params and require(params, "order", int) < 2:
-            raise ConfigError("params.order", "need an int >= 2")
-        if "n_max" in params and require(params, "n_max", int) < 0:
-            raise ConfigError("params.n_max", "need an int >= 0")
-        backend = params.get("backend", "jet")
-        if backend not in ("jet", "characteristic"):
-            raise ConfigError("params.backend", "must be jet or characteristic")
-        if backend == "characteristic" and not isinstance(domain, Disk):
-            raise ConfigError("params.backend",
-                              "the characteristic backend needs a disk domain")
-        if "a_param" in params and not -1.0 < require(params, "a_param", float) < 1.0:
-            raise ConfigError("params.a_param", "must lie in (-1, 1)")
-        if "eps" in params:
-            require(params, "eps", float, positive=True)
-        if "radii" in params:
-            r_in, r_out = numbers(params["radii"], "params.radii", (2,))
-            if not 0.0 < r_in < r_out:
-                raise ConfigError("params.radii", "need 0 < r_inner < r_outer")
-        grid = params.get("grid", {})
-        if not isinstance(grid, dict):
-            raise ConfigError("params.grid", "expected an object")
-        for key in ("nx", "ny"):
-            if key in grid:
-                require(grid, key, int, positive=True, prefix="params.grid")
-    elif exp == "pseudospectrum":
-        hs = numbers(require(params, "h_list"), "params.h_list", (None,))
-        if not len(hs) or any(h <= 0 for h in hs):
-            raise ConfigError("params.h_list", "need positive h values")
-        rect = numbers(require(params, "rect"), "params.rect", (4,))
-        if rect[1] <= rect[0] or rect[3] <= rect[2]:
-            raise ConfigError("params.rect", "need [re0, re1, im0, im1]")
-        res = numbers(require(params, "resolution"), "params.resolution", (2,))
-        if any(r < 1 or r != int(r) for r in res):
-            raise ConfigError("params.resolution", "need [n_re, n_im] counts")
-        if "dx_rule" in params and require(params, "dx_rule", float) < 8.0:
-            raise ConfigError("params.dx_rule",
-                              "scan requires dx <= h/8 (dx_rule >= 8)")
-    elif exp == "spectrum":
-        require(params, "h", float, positive=True)
-        k = require(params, "k", int, positive=True)
-        if domain.dimension == 1:
-            n = require(params, "n", int, positive=True) if "n" in params else 2000
-            if k > n // 4:
-                raise ConfigError("params.k", f"need k <= n // 4 = {n // 4}")
-    elif exp == "pseudomode":
-        z = complex(*numbers(require(params, "z"), "params.z", (2,)))
-        require(params, "h", float, positive=True)
-        if _region_margin(z, field.norm) <= 0:
-            raise ConfigError("params.z", "z must be strictly inside the region")
-    elif exp == "exit-time":
-        h = require(params, "h", float, positive=True)
-        dt = require(params, "dt", float, positive=True)
-        if dt > h * h / 4.0:
-            raise ConfigError("params.dt",
-                              "dt must not exceed h^2/4 to resolve the dynamics")
-        require(params, "n_paths", int, positive=True)
-        require(params, "seed", int)
-        if not 0 <= int(params["seed"]) < 2 ** 64:
-            # the first word of a path's Philox key
-            raise ConfigError("params.seed", "seed must lie in [0, 2^64)")
-        numbers(require(params, "x0"), "params.x0", (domain.dimension,))
-        b = numbers(params.get("b", -field.X), "params.b", (domain.dimension,))
-        lam = require(params, "lambda", float)
-        if lam < 0:
-            raise ConfigError("params.lambda", "lambda must be nonnegative")
-        if isinstance(domain, (Interval, Disk)):
-            # principal eigenvalue of the generator's conjugated form
-            lam1 = conjugated_spectrum_oracle(domain, h, -b, 1)[0]
-            if lam > 0.9 * lam1:
-                raise ConfigError(
-                    "params.lambda", f"lambda must not exceed 0.9 times the "
-                    f"principal eigenvalue {lam1:.6g}: the MGF may be infinite")
-        if "survival_s" in params and lam == 0:
-            raise ConfigError("params.lambda",
-                              "survival thresholds s / lambda need lambda > 0")
-    elif exp == "blowup":
-        if domain.dimension != 1:
-            raise ConfigError("domain", "blow-up runs on an interval")
-        require(params, "h", float, positive=True)
-        mu = require(params, "mu", float, positive=True)
-        if "alpha" in params and not 0 < require(params, "alpha", float) < mu:
-            raise ConfigError("params.alpha",
-                              "the subsolution rate needs 0 < alpha < mu")
-        p = require(params, "p", float)
-        if p not in (2.0, 3.0):
-            raise ConfigError("params.p", "supported powers are 2 and 3")
-        bump = require(params, "bump")
-        if not isinstance(bump, dict) or not {"center", "a", "delta"} <= set(bump):
-            raise ConfigError("params.bump", "needs center, a and delta")
-        numbers(bump["center"], "params.bump.center", (1,))
-        for key in ("a", "delta", "cap_constant", "amplitude"):
-            if key in bump:
-                require(bump, key, float, positive=True, prefix="params.bump")
-    for key, (kind, positive) in OPTIONAL_NUMBERS.get(exp, {}).items():
-        if key in params:
-            require(params, key, kind, positive)
-    for key in OPTIONAL_LISTS.get(exp, ()):
-        if key in params:
-            numbers(params[key], f"params.{key}", (None,))
+    _need(field.norm > 0.0 or exp == "hull", "field.X", "field must be nonzero")
+    spec = REGISTRY[exp]
+    params = _read_block(config.get("params", {}), spec.keys, "params",
+                         domain, field)
+    spec.check(domain, field, params)
     return domain, field, params
 
 
@@ -440,9 +342,8 @@ def emit_svg_heatmap(re_values, im_values, grid,
 # ===================================================================== #
 
 def run_classify(domain, field, params, art: Artifacts):
-    n = int(params["n_samples"])
-    samples = classify_boundary(domain, field, n,
-                                tol=params.get("tol", 1e-10))
+    samples = classify_boundary(domain, field, params["n_samples"],
+                                tol=params["tol"])
     rows = []
     for s in samples:
         x = s.point[0]
@@ -455,11 +356,9 @@ def run_classify(domain, field, params, art: Artifacts):
 
 
 def run_hull(domain, field, params, art: Artifacts):
-    res = params.get("resolution")
-    gens = params["generators"]
+    res, gens = params["resolution"], params["generators"]
     if gens == "gamma_plus":
-        pred = predicted_support(domain, field,
-                                 n_samples=params.get("n_samples", 1024),
+        pred = predicted_support(domain, field, n_samples=params["n_samples"],
                                  resolution=res)
         hull = pred.hull
         art.write_csv("tight_arcs.csv", ["t0", "t1"], pred.tight_arcs)
@@ -467,8 +366,8 @@ def run_hull(domain, field, params, art: Artifacts):
         hull = relative_convex_hull(domain, gens, resolution=res)
     art.write_json("hull.geojson", hull.to_geojson())
     art.write_csv("hull_arcs.csv", ["t0", "t1"], hull.boundary_arcs())
-    spacing = params.get("oracle_spacing")
-    if spacing:
+    spacing = params["oracle_spacing"]
+    if spacing is not None:
         oracle = relhull_grid_oracle(domain, hull.generators, spacing)
         art.write_csv("oracle_points.csv", ["x", "y"], oracle)
         d = hausdorff_distance(oracle, hull.rasterize(spacing))
@@ -479,18 +378,13 @@ def run_hull(domain, field, params, art: Artifacts):
 
 def run_quasimode(domain, field, params, art: Artifacts):
     from .wkb import build_quasimode, quasimode_residual
-    z = complex(*params["z"])
-    h = float(params["h"])
+    z, h = complex(*params["z"]), params["h"]
     q = build_quasimode(domain, field, params["x0"], z, h,
-                        order=int(params.get("order", 4)),
-                        n_max=int(params.get("n_max", 0)),
-                        a_param=params.get("a_param", 0.5),
-                        eps=params.get("eps", 1.0),
-                        radii=tuple(params["radii"]) if "radii" in params else None,
-                        backend=params.get("backend", "jet"))
+                        order=params["order"], n_max=params["n_max"],
+                        a_param=params["a_param"], eps=params["eps"],
+                        radii=params["radii"], backend=params["backend"])
     rep = quasimode_residual(q)
-    gp = params.get("grid", {})
-    nx, ny = int(gp.get("nx", 160)), int(gp.get("ny", 120))
+    nx, ny = params["grid"]["nx"], params["grid"]["ny"]
     x0c = q.frame.x0
     half = 1.2 * q.cutoff.r_outer
     if domain.dimension == 1:
@@ -513,21 +407,17 @@ def run_quasimode(domain, field, params, art: Artifacts):
         "z": [z.real, z.imag], "h": h,
         "lambda": seed.lam, "c": seed.c,
         "alpha": list(seed.alpha), "beta": list(seed.beta),
-        "order": params.get("order", 4), "n_max": params.get("n_max", 0),
+        "order": params["order"], "n_max": params["n_max"],
         "radii": [q.cutoff.r_inner, q.cutoff.r_outer],
         "norm_u": rep.norm_u, "norm_pzu": rep.norm_pzu, "ratio": rep.ratio,
     })
 
 
 def run_pseudospectrum(domain, field, params, art: Artifacts):
-    rect = tuple(params["rect"])
-    n_re, n_im = params["resolution"]
-    dx_rule = params.get("dx_rule", 8.0)
     summary = {}
     for h in params["h_list"]:
-        grids = pseudospectrum_scan(domain, field.X, rect, (n_re, n_im), [h],
-                                    dx_rule)
-        g = grids[0]
+        g = pseudospectrum_scan(domain, field.X, params["rect"],
+                                params["resolution"], [h], params["dx_rule"])[0]
         rows = [(a, b, s, flag) for a, b, s, flag in g.rows()]
         name = f"pseudospectrum_h{h:g}.csv"
         art.write_csv(name, ["re_z", "im_z", "sigma_min", "in_region"], rows)
@@ -543,14 +433,12 @@ def run_pseudospectrum(domain, field, params, art: Artifacts):
 
 
 def run_spectrum(domain, field, params, art: Artifacts):
-    h = float(params["h"])
-    k = int(params["k"])
+    h, k = params["h"], params["k"]
     if domain.dimension == 1:
-        n = params.get("n", 2000)
-        op = assemble_1d(domain, h, field.X, n)
+        op = assemble_1d(domain, h, field.X, params["n"])
     else:
-        op = assemble_2d(domain, h, field.X, params.get("dx", h / 8))
-    res = eigenvalues(op, k, sigma_shift=params.get("shift", 0.0))
+        op = assemble_2d(domain, h, field.X, params["dx"])
+    res = eigenvalues(op, k, sigma_shift=params["shift"])
     try:
         oracle = conjugated_spectrum_oracle(domain, h, field.X, k)
     except PslabError:
@@ -562,13 +450,11 @@ def run_spectrum(domain, field, params, art: Artifacts):
 
 
 def run_pseudomode(domain, field, params, art: Artifacts):
-    z = complex(*params["z"])
-    h = float(params["h"])
+    z, h = complex(*params["z"]), params["h"]
     if domain.dimension == 1:
-        n = params.get("n", int(round(8 / h)))
-        op = assemble_1d(domain, h, field.X, n)
+        op = assemble_1d(domain, h, field.X, params["n"])
     else:
-        op = assemble_2d(domain, h, field.X, params.get("dx", h / 8))
+        op = assemble_2d(domain, h, field.X, params["dx"])
     sm, prof = pseudomode_localization(op, z, field)
     art.write_csv("radial_profile.csv", ["r0", "r1", "mass"],
                   [(prof.radial_edges[i], prof.radial_edges[i + 1],
@@ -589,15 +475,12 @@ def run_pseudomode(domain, field, params, art: Artifacts):
 
 
 def run_exit_time(domain, field, params, art: Artifacts):
-    from .sde import (default_t_max, exit_mgf_bvp_1d, mgf_estimate,
-                      simulate_exit_ensemble, survival_probability)
-    h = float(params["h"])
-    lam = float(params["lambda"])
-    bvec = np.asarray(params.get("b", -field.X), dtype=float)
-    t_max = params.get("t_max", default_t_max(h, lam) if lam > 0 else 100.0)
-    ens = simulate_exit_ensemble(domain, bvec, h, params["x0"],
-                                 float(params["dt"]), int(params["seed"]),
-                                 int(params["n_paths"]), t_max)
+    from .sde import (exit_mgf_bvp_1d, mgf_estimate, simulate_exit_ensemble,
+                      survival_probability)
+    h, lam = params["h"], params["lambda"]
+    ens = simulate_exit_ensemble(domain, np.asarray(params["b"]), h,
+                                 params["x0"], params["dt"], params["seed"],
+                                 params["n_paths"], params["t_max"])
     rows = [(t, p[0], p[1] if len(p) > 1 else 0.0, bool(f))
             for t, p, f in zip(ens.tau, ens.exit_points, ens.truncated)]
     art.write_csv("samples.csv", ["tau", "exit_x", "exit_y", "truncated"], rows)
@@ -609,15 +492,15 @@ def run_exit_time(domain, field, params, art: Artifacts):
     if domain.dimension == 1:
         try:
             payload["bvp_value"] = float(
-                exit_mgf_bvp_1d(domain, float(bvec[0]), lam, h)(
-                    np.atleast_1d(params["x0"])[0]))
+                exit_mgf_bvp_1d(domain, params["b"][0], lam, h)(
+                    params["x0"][0]))
         except PslabError:
             payload["bvp_value"] = None
     art.write_json("estimate.json", payload)
-    if "survival_s" in params:
+    if params["survival_s"] is not None:
         rows = []
         for s in params["survival_s"]:
-            sv = survival_probability(ens, float(s), lam)
+            sv = survival_probability(ens, s, lam)
             rows.append((s, sv.probability, sv.lower, sv.upper))
         art.write_csv("survival.csv", ["s", "prob", "lo", "hi"], rows)
 
@@ -625,21 +508,16 @@ def run_exit_time(domain, field, params, art: Artifacts):
 def run_blowup(domain, field, params, art: Artifacts):
     from .evolution import (BLOWUP_THRESHOLD, BumpSpec, bump_initial_data,
                             evolve, subsolution_check)
-    h = float(params["h"])
-    mu = float(params["mu"])
-    p = float(params["p"])
+    h, mu, p = params["h"], params["mu"], params["p"]
     bp = params["bump"]
     spec = BumpSpec(center=bp["center"], inner_radius=bp["a"],
-                    delta=bp["delta"], cap_constant=bp.get("cap_constant"),
-                    amplitude=bp.get("amplitude"))
-    n = params.get("n", 2000)
-    op = assemble_1d(domain, h, field.X, n)
+                    delta=bp["delta"], cap_constant=bp["cap_constant"],
+                    amplitude=bp["amplitude"])
+    op = assemble_1d(domain, h, field.X, params["n"])
     rep = bump_initial_data(spec, op.points, h, domain=domain, X=field.X)
-    snaps = params.get("snapshot_times",
-                       list(np.round(np.arange(0.05, spec.delta, 0.05), 10)))
-    res = evolve(op, mu, p, (1.0 + params.get("margin", 0.02)) * rep.values,
-                 float(params.get("dt", 2e-4)),
-                 float(params.get("t_end", 1.0)), snapshot_times=snaps)
+    res = evolve(op, mu, p, (1.0 + params["margin"]) * rep.values,
+                 params["dt"], params["t_end"],
+                 snapshot_times=params["snapshot_times"])
     lam = eigenvalues(op, 5, sigma_shift=mu + 0.05).values
     spectral_bound = float(np.max(-(lam.real - mu)))
     rows = []
@@ -651,12 +529,14 @@ def run_blowup(domain, field, params, art: Artifacts):
     report = {
         "blew_up": res.blew_up, "t_blowup": res.t_blowup,
         "threshold": BLOWUP_THRESHOLD, "spectral_bound": spectral_bound,
-        "parameters": {"h": h, "mu": mu, "p": p, "bump": bp},
+        # the bump as configured: keys left to their default are not echoed
+        "parameters": {"h": h, "mu": mu, "p": p, "bump": {
+            k: v for k, v in bp.items() if v is not None}},
         "bump_peak": rep.peak, "bump_cap": rep.cap,
     }
-    alpha = params.get("alpha")
-    if alpha is not None:
-        comp = subsolution_check(res, spec, float(alpha), field.X, op.points)
+    if params["alpha"] is not None:
+        comp = subsolution_check(res, spec, params["alpha"], field.X,
+                                 op.points)
         report["subsolution"] = {
             "ok": comp.ok, "through_t": max(comp.checked_times, default=0.0),
             "worst_margin": comp.worst_margin,
@@ -664,17 +544,134 @@ def run_blowup(domain, field, params, art: Artifacts):
     art.write_json("blowup_report.json", report)
 
 
-RUNNERS = {
-    "classify": run_classify,
-    "hull": run_hull,
-    "quasimode": run_quasimode,
-    "pseudospectrum": run_pseudospectrum,
-    "spectrum": run_spectrum,
-    "pseudomode": run_pseudomode,
-    "exit-time": run_exit_time,
-    "blowup": run_blowup,
+def _check_region(field, p, message="z must be strictly inside the region"):
+    _need(p["z"][0] > p["z"][1] ** 2 / field.norm ** 2, "params.z", message)
+
+
+def _check_quasimode(domain, field, p):
+    _check_region(field, p, "no-quasimode condition violated: quasimodes exist "
+                  "only for Re z > (Im z)^2/|X|^2; on the boundary parabola "
+                  "there are none")
+    _need(p["backend"] == "jet" or isinstance(domain, Disk), "params.backend",
+          "the characteristic backend needs a disk domain")
+
+
+def _check_spectrum(domain, field, p):
+    if domain.dimension == 1:
+        _need(p["k"] <= p["n"] // 4, "params.k",
+              f"need k <= n // 4 = {p['n'] // 4}")
+
+
+def _check_exit_time(domain, field, p):
+    _need(p["dt"] <= p["h"] ** 2 / 4.0, "params.dt",
+          "dt must not exceed h^2/4 to resolve the dynamics")
+    _need(np.max(domain.signed_distance(np.array([p["x0"]]))) < 0,
+          "params.x0", "x0 must lie inside the domain")
+    if isinstance(domain, (Interval, Disk)):
+        # principal eigenvalue of the generator's conjugated form
+        lam1 = conjugated_spectrum_oracle(domain, p["h"],
+                                          -np.asarray(p["b"]), 1)[0]
+        _need(p["lambda"] <= 0.9 * lam1, "params.lambda",
+              f"lambda must not exceed 0.9 times the principal eigenvalue "
+              f"{lam1:.6g}: the MGF may be infinite")
+    _need(p["survival_s"] is None or p["lambda"] > 0, "params.lambda",
+          "survival thresholds s / lambda need lambda > 0")
+
+
+def _check_blowup(domain, field, p):
+    _need(domain.dimension == 1, "domain", "blow-up runs on an interval")
+    _need(p["alpha"] is None or 0 < p["alpha"] < p["mu"], "params.alpha",
+          "the subsolution rate needs 0 < alpha < mu")
+
+
+def _default_t_max(p, field):
+    from .sde import default_t_max
+    return default_t_max(p["h"], p["lambda"]) if p["lambda"] > 0 else 100.0
+
+
+POSITIVE = (lambda v: v > 0, "must be positive")
+POSITIVE_FLOAT = Key(float, REQUIRED, POSITIVE)
+Z, X0 = Key(shape=(2,)), Key(shape=("d",))
+N = Key(int, 2000, POSITIVE, dim=1)
+DX = Key(float, lambda p, field: p["h"] / 8, POSITIVE, dim=2)
+
+# The experiment registry: its runner, a declaration of every params key the
+# runner reads, and the conditions across keys, checked once all are read.
+Experiment = namedtuple("Experiment", "run keys check",
+                        defaults=[lambda domain, field, p: None])
+REGISTRY = {
+    "classify": Experiment(run_classify, {
+        "n_samples": Key(int), "tol": Key(float, 1e-10, POSITIVE),
+    }, lambda domain, field, p: _need(
+        domain.dimension == 1 or p["n_samples"] >= 8, "params.n_samples",
+        "need at least 8 samples")),
+    "hull": Experiment(run_hull, {
+        "generators": Key(shape=(None, 2), choices=("gamma_plus",)),
+        "n_samples": Key(int, 1024, POSITIVE),
+        "resolution": Key(float, None, POSITIVE),
+        "oracle_spacing": Key(float, None, POSITIVE),
+    }, lambda domain, field, p: _need(
+        domain.dimension == 2, "domain", "hulls need a planar domain")),
+    "quasimode": Experiment(run_quasimode, {
+        "z": Z, "h": POSITIVE_FLOAT, "x0": X0,
+        "order": Key(int, 4, (lambda v: v >= 2, "need an int >= 2")),
+        "n_max": Key(int, 0, (lambda v: v >= 0, "need an int >= 0")),
+        "backend": Key(default="jet", choices=("jet", "characteristic")),
+        "a_param": Key(float, 0.5, (lambda v: -1 < v < 1,
+                                    "must lie in (-1, 1)")),
+        "eps": Key(float, 1.0, POSITIVE),
+        "radii": Key(float, None, (lambda r: 0 < r[0] < r[1],
+                                   "need 0 < r_inner < r_outer"), (2,)),
+        "grid": Key({"nx": Key(int, 160, POSITIVE),
+                     "ny": Key(int, 120, POSITIVE)}, {}),
+    }, _check_quasimode),
+    "pseudospectrum": Experiment(run_pseudospectrum, {
+        "h_list": Key(float, REQUIRED, (lambda hs: len(hs) and min(hs) > 0,
+                                        "need positive h values"), (None,)),
+        "rect": Key(float, REQUIRED, (lambda r: r[0] < r[1] and r[2] < r[3],
+                                      "need [re0, re1, im0, im1]"), (4,)),
+        "resolution": Key(int, REQUIRED, (lambda r: min(r) >= 1,
+                                          "need [n_re, n_im] counts"), (2,)),
+        "dx_rule": Key(float, 8.0, (lambda v: v >= 8,
+                                    "scan requires dx <= h/8 (dx_rule >= 8)")),
+    }),
+    "spectrum": Experiment(run_spectrum, {
+        "h": POSITIVE_FLOAT, "k": Key(int, REQUIRED, POSITIVE),
+        "n": N, "dx": DX, "shift": Key(float, 0.0),
+    }, _check_spectrum),
+    "pseudomode": Experiment(run_pseudomode, {
+        "z": Z, "h": POSITIVE_FLOAT, "dx": DX,
+        "n": Key(int, lambda p, field: int(round(8 / p["h"])), POSITIVE,
+                 dim=1),
+    }, lambda domain, field, p: _check_region(field, p)),
+    "exit-time": Experiment(run_exit_time, {
+        "h": POSITIVE_FLOAT, "dt": POSITIVE_FLOAT,
+        "n_paths": Key(int, REQUIRED, POSITIVE),
+        # the first word of a path's Philox key
+        "seed": Key(int, REQUIRED, (lambda v: 0 <= v < 2 ** 64,
+                                    "seed must lie in [0, 2^64)")),
+        "x0": X0, "b": Key(float, lambda p, field: (-field.X).tolist(),
+                           shape=("d",)),
+        "lambda": Key(float, REQUIRED, (lambda v: v >= 0,
+                                        "lambda must be nonnegative")),
+        "t_max": Key(float, _default_t_max, POSITIVE),
+        "survival_s": Key(float, None, shape=(None,)),
+    }, _check_exit_time),
+    "blowup": Experiment(run_blowup, {
+        "h": POSITIVE_FLOAT, "mu": POSITIVE_FLOAT, "alpha": Key(float, None),
+        "p": Key(float, REQUIRED, (lambda v: v in (2, 3),
+                                   "supported powers are 2 and 3")),
+        "bump": Key({"center": Key(shape=(1,)), "a": POSITIVE_FLOAT,
+                     "delta": POSITIVE_FLOAT,
+                     "cap_constant": Key(float, None, POSITIVE),
+                     "amplitude": Key(float, None, POSITIVE)}),
+        "n": N, "dt": Key(float, 2e-4, POSITIVE),
+        "t_end": Key(float, 1.0, POSITIVE), "margin": Key(float, 0.02),
+        "snapshot_times": Key(float, lambda p, field: np.round(np.arange(
+            0.05, p["bump"]["delta"], 0.05), 10).tolist(), shape=(None,)),
+    }, _check_blowup),
 }
-EXPERIMENTS = tuple(RUNNERS)
+EXPERIMENTS = tuple(REGISTRY)
 
 
 # ===================================================================== #
@@ -701,7 +698,7 @@ def run(config_path: str, out_dir: str | None = None) -> int:
                or config.get("output_dir", "pslab_out"))
     art = Artifacts(out, raw)
     try:
-        RUNNERS[config["experiment"]](domain, field, params, art)
+        REGISTRY[config["experiment"]].run(domain, field, params, art)
     except PslabError as e:
         print(f"compute failed: {e}", file=sys.stderr)
         return 1

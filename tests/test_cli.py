@@ -24,6 +24,63 @@ def classify_config(outdir):
     }
 
 
+INTERVAL = {"type": "interval", "a": 0.0, "b": 1.0}
+DISK = {"type": "disk", "center": [0.0, 0.0], "radius": 1.0}
+
+# one small config per experiment, and the SHA-256 prefix of each artifact
+FROZEN = {
+    "classify": {"domain": {"type": "ellipse", "center": [0.1, -0.2],
+                            "semi_axes": [1.2, 0.7], "angle": 0.4},
+                 "field": {"X": [1.0, 0.5]}, "params": {"n_samples": 48}},
+    "hull": {"domain": DISK, "field": {"X": [1.0, 0.0]},
+             "params": {"generators": "gamma_plus", "n_samples": 128}},
+    "quasimode": {"domain": DISK, "field": {"X": [1.0, 0.0]},
+                  "params": {"z": [1.0, 0.5], "h": 0.05, "x0": [1.0, 0.0],
+                             "grid": {"nx": 12, "ny": 10}}},
+    "pseudospectrum": {"domain": INTERVAL, "field": {"X": [1.0]},
+                       "params": {"h_list": [0.05, 0.1],
+                                  "rect": [-0.5, 1.5, -1.0, 1.0],
+                                  "resolution": [4, 3]}},
+    "spectrum": {"domain": DISK, "field": {"X": [1.0, 0.0]},
+                 "params": {"h": 0.2, "k": 3}},
+    "pseudomode": {"domain": INTERVAL, "field": {"X": [1.0]},
+                   "params": {"z": [1.0, 0.5], "h": 0.05}},
+    "exit-time": {"domain": INTERVAL, "field": {"X": [-0.8]},
+                  "params": {"h": 0.05, "dt": 6.25e-4, "seed": 7,
+                             "n_paths": 40, "x0": [0.1], "lambda": 0.1,
+                             "survival_s": [0.05, 0.1]}},
+    "blowup": {"domain": INTERVAL, "field": {"X": [1.0]},
+               "params": {"h": 0.01, "mu": 0.2, "p": 2, "n": 400,
+                          "t_end": 0.3,
+                          "bump": {"center": [0.15], "a": 0.05,
+                                   "delta": 0.36}}},
+}
+FROZEN_DIGESTS = {
+    "classify": {"boundary.csv": "cbb7bcb3cd33c309"},
+    "hull": {"hull.geojson": "c8301b425f96db65",
+             "hull_arcs.csv": "248c7acab9780e56",
+             "tight_arcs.csv": "8e08764d13dd7981"},
+    "quasimode": {"quasimode_grid.csv": "527c3650f40b0132",
+                  "quasimode_manifest.json": "0c3043fcf9c7c51d"},
+    "pseudospectrum": {"heatmap_h0.05.svg": "729c0fd13e572770",
+                       "heatmap_h0.1.svg": "9a79ae4d67518773",
+                       "pseudospectrum_h0.05.csv": "284bbe5df377d3df",
+                       "pseudospectrum_h0.1.csv": "751535b9f3ef6966",
+                       "scan_summary.json": "e4e59b104de1eb7a"},
+    "spectrum": {"eigenvalues.csv": "af7d96f8681cb4d9",
+                 "spectrum_summary.json": "60cf0fb9a1c0065c"},
+    "pseudomode": {"arc_profile.csv": "15b3d71d71614183",
+                   "pseudomode.csv": "0d7e9ef6eca3049d",
+                   "pseudomode_summary.json": "a4e35cfa8ee7a78c",
+                   "radial_profile.csv": "764b0c908826083a"},
+    "exit-time": {"estimate.json": "ffef0f927208d275",
+                  "samples.csv": "e1a516c7b8874ef1",
+                  "survival.csv": "8b35c0a3079a0a0d"},
+    "blowup": {"blowup_report.json": "325fb94d3cb87d9b",
+               "trajectory.csv": "895bedfe11168a0d"},
+}
+
+
 class TestRunner:
     def test_classify_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, classify_config(tmp_path / "out"))
@@ -144,6 +201,19 @@ class TestRunner:
                                         "lambda": 5.0, "t_max": 1.0}},
          "params.lambda"),
         ("blowup", "params", {"alpha": 0.5}, "params.alpha"),
+        ("exit-time", "params", {"x0": [1.5]}, "params.x0"),
+        ("exit-time", "params", {"x0": [1.0]}, "params.x0"),
+        ("spectrum", "params", {"shfit": 0.25}, "params.shfit"),
+        ("spectrum", None, {"domain": {"type": "disk", "center": [0, 0],
+                                       "radius": 1.0},
+                            "field": {"X": [1.0, 0.0]},
+                            "params": {"h": 0.1, "k": 3, "n": 50}},
+         "params.n"),
+        ("spectrum", "params", {"dx": 0.01}, "params.dx"),
+        ("quasimode", "params", {"grid": {"nz": 3}}, "params.grid.nz"),
+        ("blowup", "params", {"bump": {"center": [0.15], "a": 0.05,
+                                       "delta": 0.36, "width": 0.1}},
+         "params.bump.width"),
     ], ids=["domain-string", "interval-a-string", "field-X-string", "z-scalar",
             "z-three-entries", "h_list-scalar", "dx_rule-string",
             "resolution-scalar", "rect-strings", "n_paths-zero", "dt-negative",
@@ -156,7 +226,9 @@ class TestRunner:
             "characteristic-ellipse", "characteristic-interval",
             "seed-beyond-philox-key", "lambda-above-principal-eigenvalue",
             "lambda-zero-with-survival", "lambda-above-disk-eigenvalue",
-            "alpha-above-mu"])
+            "alpha-above-mu", "x0-outside-interval", "x0-on-boundary",
+            "misspelt-key", "n-on-a-disk", "dx-on-an-interval",
+            "grid-key-unknown", "bump-key-unknown"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, experiment,
                                       section, patch, key):
         interval = {"type": "interval", "a": 0.0, "b": 1.0}
@@ -194,6 +266,58 @@ class TestRunner:
         assert run(str(write_config(tmp_path, cfg))) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config, key, spelled", [
+        ({"experiment": "spectrum", "domain": INTERVAL, "field": {"X": [1.0]},
+          "params": {"h": 0.05, "k": 3, "n": 400}}, "n", 400.0),
+        ({"experiment": "pseudomode", "domain": INTERVAL,
+          "field": {"X": [1.0]},
+          "params": {"z": [1.0, 0.5], "h": 0.05, "n": 200}}, "n", 200.0),
+        ({"experiment": "blowup", "domain": INTERVAL, "field": {"X": [1.0]},
+          "params": {"h": 0.01, "mu": 0.2, "p": 2, "n": 2000, "t_end": 0.1,
+                     "bump": {"center": [0.15], "a": 0.05, "delta": 0.36}}},
+         "n", 2000.0),
+        ({"experiment": "pseudospectrum", "domain": INTERVAL,
+          "field": {"X": [1.0]},
+          "params": {"h_list": [0.05], "rect": [-0.5, 1.5, -1.0, 1.0],
+                     "resolution": [4, 3]}}, "resolution", [4.0, 3.0]),
+        ({"experiment": "hull", "domain": DISK, "field": {"X": [1.0, 0.0]},
+          "params": {"generators": "gamma_plus", "n_samples": 256}},
+         "n_samples", 256.0),
+        # a float key: an int t_max once gave an int tau array, all zeros
+        ({"experiment": "exit-time", "domain": INTERVAL,
+          "field": {"X": [-0.8]},
+          "params": {"h": 0.05, "dt": 6.25e-4, "seed": 5, "n_paths": 20,
+                     "x0": [0.05], "lambda": 0.1, "t_max": 3.0}},
+         "t_max", 3),
+    ], ids=["spectrum-n", "pseudomode-n", "blowup-n",
+            "pseudospectrum-resolution", "hull-n_samples", "exit-time-t_max"])
+    def test_integral_value_spelled_either_way(self, tmp_path, config, key,
+                                               spelled):
+        """An integral number runs the same written as int or as float."""
+        outs = []
+        for tag, value in (("plain", config["params"][key]),
+                           ("spelled", spelled)):
+            cfg = config | {"params": config["params"] | {key: value},
+                            "output_dir": str(tmp_path / tag)}
+            assert run(str(write_config(tmp_path, cfg, f"{tag}.json"))) == 0
+            files = json.loads((tmp_path / tag / "manifest.json")
+                               .read_text())["files"]
+            outs.append({name: (tmp_path / tag / name).read_bytes()
+                         for name in files})
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("experiment", sorted(FROZEN))
+    def test_frozen_artifact_digests(self, tmp_path, experiment):
+        """Every artifact of one small run per experiment, byte for byte;
+        the configs leave most keys to their defaults."""
+        cfg = FROZEN[experiment] | {"experiment": experiment,
+                                    "output_dir": str(tmp_path / "out")}
+        assert run(str(write_config(tmp_path, cfg))) == 0
+        files = json.loads((tmp_path / "out" / "manifest.json")
+                           .read_text())["files"]
+        assert {name: h[:16] for name, h in files.items()} \
+            == FROZEN_DIGESTS[experiment]
 
     def test_compute_failure_writes_nothing(self, tmp_path, capsys):
         # validate() cannot see the disk grid's dimension; assembly can

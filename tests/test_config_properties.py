@@ -1,13 +1,18 @@
-"""Property test of ``cli.validate``: one malformed key of a shipped config is
-rejected with a ``ConfigError`` that names exactly that key, and no other
-exception escapes.
+"""Property tests of ``cli.validate``.
 
-Each case takes one ``configs/*.json`` file and one of its leaf keys, and
-replaces that key's value by something malformed: a value of the wrong type,
-NaN or an infinity, a negative number, an empty list, or a list of the wrong
-length.  Replacements that leave a valid config are not drawn: a negative
-entry where the sign is free (coordinates, the field, the drift), a longer
-list where any length is allowed, and no survival thresholds at all.
+One malformed key of a config is rejected with a ``ConfigError`` that names
+exactly that key, and no other exception escapes.  Each case takes one
+config (the ``configs/*.json`` files, plus ``spectrum`` and ``pseudomode`` on
+an interval and a disk and ``classify`` on an ellipse and a polygon) and one
+of its leaf keys, and replaces that key's value by something malformed: a
+value of the wrong type, NaN or an infinity, a negative number, an empty
+list, or a list of the wrong length.  Replacements that leave a valid config
+are not drawn: a negative entry where the sign is free (coordinates, the
+field, the drift, the angle, the shift), a longer list where any length is
+allowed, and no survival thresholds at all.
+
+An integral number validates to the same params written as an int or as a
+float, wherever it stands.
 """
 
 import copy
@@ -22,13 +27,41 @@ from hypothesis import strategies as st
 from pslab.cli import validate
 from pslab.errors import ConfigError
 
+INTERVAL = {"type": "interval", "a": 0.0, "b": 1.0}
+DISK = {"type": "disk", "center": [0.0, 0.0], "radius": 1.0}
 CONFIGS = {p.stem: json.loads(p.read_text()) for p in
            sorted((Path(__file__).parents[1] / "configs").glob("*.json"))}
+CONFIGS |= {
+    "spectrum_interval": {
+        "experiment": "spectrum", "domain": INTERVAL, "field": {"X": [1.0]},
+        "params": {"h": 0.05, "k": 3, "n": 400, "shift": 0.25}},
+    "spectrum_disk": {
+        "experiment": "spectrum", "domain": DISK, "field": {"X": [1.0, 0.0]},
+        "params": {"h": 0.1, "k": 3, "dx": 0.05, "shift": 0.25}},
+    "pseudomode_interval": {
+        "experiment": "pseudomode", "domain": INTERVAL, "field": {"X": [1.0]},
+        "params": {"z": [1.0, 0.5], "h": 0.05, "n": 200}},
+    "pseudomode_disk": {
+        "experiment": "pseudomode", "domain": DISK,
+        "field": {"X": [1.0, 0.0]},
+        "params": {"z": [1.0, 0.5], "h": 0.05, "dx": 0.01}},
+    "classify_ellipse": {
+        "experiment": "classify",
+        "domain": {"type": "ellipse", "center": [0.1, -0.2],
+                   "semi_axes": [1.2, 0.7], "angle": 0.4},
+        "field": {"X": [1.0, 0.5]}, "params": {"n_samples": 64}},
+    "classify_polygon": {
+        "experiment": "classify",
+        "domain": {"type": "polygon", "vertices": [[0, 0], [2, 0], [2, 2],
+                                                   [1, 2], [1, 1], [0, 1]]},
+        "field": {"X": [1.0, 0.0]}, "params": {"n_samples": 64}},
+}
 
 # keys whose entries may take either sign in a valid config
-SIGN_FREE = {"domain.a", "domain.center", "domain.vertices", "field.X",
-             "params.x0", "params.b", "params.rect", "params.z",
-             "params.generators", "params.bump.center", "params.survival_s"}
+SIGN_FREE = {"domain.a", "domain.center", "domain.vertices", "domain.angle",
+             "field.X", "params.x0", "params.b", "params.rect", "params.z",
+             "params.generators", "params.bump.center", "params.survival_s",
+             "params.shift"}
 # lists of any length, and lists that may be empty
 ANY_LENGTH = {"params.h_list", "params.survival_s"}
 MAY_BE_EMPTY = {"params.survival_s"}
@@ -118,3 +151,27 @@ def test_malformed_key_is_named(name, path):
 def test_shipped_configs_are_valid():
     for cfg in CONFIGS.values():
         validate(copy.deepcopy(cfg))
+
+
+def respell(obj, flip):
+    """obj with each int for which ``flip()`` is true written as a float."""
+    if isinstance(obj, dict):
+        return {key: respell(val, flip) for key, val in obj.items()}
+    if isinstance(obj, list):
+        return [respell(val, flip) for val in obj]
+    return float(obj) if type(obj) is int and flip() else obj
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_integral_float_validates_like_int(name):
+    want = json.dumps(validate(copy.deepcopy(CONFIGS[name]))[2],
+                      sort_keys=True)
+
+    @settings(derandomize=True, database=None, max_examples=10,
+              deadline=None)
+    @given(st.data())
+    def check(data):
+        cfg = respell(CONFIGS[name], lambda: data.draw(st.booleans()))
+        assert json.dumps(validate(cfg)[2], sort_keys=True) == want
+
+    check()
