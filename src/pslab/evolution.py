@@ -26,10 +26,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import GeometryError, PslabError
-from .operators import GridOperator
+from .operators import GridOperator, factorize
 
 BLOWUP_THRESHOLD = 1e6      # sup |u| that counts as blow-up
 _POSITIVITY_TOL = 1e-12     # relative undershoot below 0 that counts as lost
@@ -191,12 +190,12 @@ def evolve(op: GridOperator, mu: float, p: float, u0: np.ndarray, dt0: float,
     if u.shape != (n,):
         raise ValueError(f"initial data must match the {n}-point grid")
     I = sp.identity(n, format="csc")
-    A = op.matrix.real.tocsc()
+    A = op.matrix.tocsc()
     lus = {}
 
     def solver(dt):
         if dt not in lus:
-            lus[dt] = spla.splu((I + (dt / h) * (A - mu * I)).tocsc())
+            lus[dt] = factorize((I + (dt / h) * (A - mu * I)).tocsc())
         return lus[dt]
 
     want_snaps = sorted(float(s) for s in snapshot_times) \

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import SupercriticalError, UnreliableTailError
+from .errors import GeometryError, SupercriticalError, UnreliableTailError
 
 _CHUNK = 256          # normals pre-drawn per path (the pair; the ensemble's floor)
 _BATCH = 16384        # paths simulated together
@@ -79,8 +79,58 @@ def default_t_max(h: float, lam: float) -> float:
     return 50.0 * h * max(1.0, abs(math.log(h))) / lam
 
 
-def _path_generator(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(int(seed), int(index))))
+class _Streams:
+    """The Philox streams keyed (seed, i) of batch paths i in [lo, hi).
+
+    ``np.random.Philox(key=...)`` takes 12-18 us, most of it a
+    SeedSequence drawn from OS entropy that the key then overrides, while
+    many paths exit within their first draw.  So a path's first draw comes
+    from one shared bit generator re-keyed through its ``state`` setter,
+    and only a path that draws again gets its own generator, started from
+    the state saved after that draw.  Re-keying at every draw would cost
+    more than a generator on long paths.  Either way a path's normals are
+    exactly those of ``Philox(key=(seed, i))``.
+    """
+
+    def __init__(self, seed: int, lo: int, hi: int):
+        self.bits = np.random.Philox(key=(int(seed), int(lo)))
+        self.shared = np.random.Generator(self.bits)
+        self.fresh = self.bits.state      # counter 0; key[1] set per path
+        self.resume = self.bits.state     # filled from `saved`
+        # seeds a path's own generator without OS entropy; the state
+        # setter then overwrites all of it
+        self.seq = np.random.SeedSequence(0)
+        self.lo = lo
+        # counter, buffered words and buffer position after the first draw;
+        # standard_normal takes whole 64-bit words, so no 32-bit half is kept
+        self.saved = np.zeros((hi - lo, 9), dtype=np.uint64)
+        self.drawn = np.zeros(hi - lo, dtype=bool)
+        self.gens: list = [None] * (hi - lo)
+
+    def standard_normal(self, a: int, out: np.ndarray):
+        """Fill out with the next normals of batch path a."""
+        if self.gens[a] is not None:
+            self.gens[a].standard_normal(out=out)
+        elif self.drawn[a]:
+            # a second draw: the path has its own generator from here on
+            row, state = self.saved[a], self.resume
+            state["state"]["key"][1] = self.lo + a
+            state["state"]["counter"][:] = row[:4]
+            state["buffer"][:] = row[4:8]
+            state["buffer_pos"] = int(row[8])
+            bits = np.random.Philox(self.seq)
+            bits.state = state
+            self.gens[a] = np.random.Generator(bits)
+            self.gens[a].standard_normal(out=out)
+        else:
+            self.fresh["state"]["key"][1] = self.lo + a
+            self.bits.state = self.fresh
+            self.shared.standard_normal(out=out)
+            state = self.bits.state
+            self.saved[a, :4] = state["state"]["counter"]
+            self.saved[a, 4:8] = state["buffer"]
+            self.saved[a, 8] = state["buffer_pos"]
+            self.drawn[a] = True
 
 
 class _Level:
@@ -174,19 +224,22 @@ def _simulate(domain, b, h: float, x0, seed: int, n_paths: int, t_max: float,
     """One ensemble per level (dt, stride, n_steps), all on the same draws."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = x0.shape[0]
+    t_max = float(t_max)
     out = [ExitEnsemble(np.full(n_paths, t_max), np.tile(x0, (n_paths, 1)),
                         np.zeros(n_paths, dtype=bool), h, dt, t_max, seed, x0)
            for dt, _, _ in levels]
     start_sd = float(np.atleast_1d(domain.signed_distance(
         x0[None, :] if d > 1 else x0))[0])
-    if start_sd >= 0.0:
+    if start_sd > 0.0:
+        raise GeometryError(f"start point {x0.tolist()} lies outside {domain}")
+    if start_sd == 0.0:
         for ens in out:
             ens.tau[:] = 0.0
         return out
     n_draws = max(stride * n for _, stride, n in levels)
     for lo in range(0, n_paths, batch_size):
         hi = min(lo + batch_size, n_paths)
-        gens = [_path_generator(seed, i) for i in range(lo, hi)]
+        streams = _Streams(seed, lo, hi)
         run = [_Level(ens, lo, hi, domain, b, start_sd, stride, n)
                for ens, (_, stride, n) in zip(out, levels)]
         buf = np.empty((hi - lo, chunk, d))
@@ -197,7 +250,7 @@ def _simulate(domain, b, h: float, x0, seed: int, n_paths: int, t_max: float,
             if not need.any():
                 break
             for a in np.flatnonzero(need):
-                gens[a].standard_normal(out=buf[a])
+                streams.standard_normal(a, buf[a])
             for lv in run:
                 lv.advance(buf, base)
         for lv in run:
@@ -208,7 +261,11 @@ def _simulate(domain, b, h: float, x0, seed: int, n_paths: int, t_max: float,
 def simulate_exit_ensemble(domain, b, h: float, x0, dt: float, seed: int,
                            n_paths: int, t_max: float,
                            batch_size: int = _BATCH) -> ExitEnsemble:
-    """Euler-Maruyama first-exit ensemble; deterministic in (seed, dt, x0)."""
+    """Euler-Maruyama first-exit ensemble; deterministic in (seed, dt, x0).
+
+    A start on the boundary exits at tau = 0; a start outside the domain
+    raises GeometryError.
+    """
     max_steps = int(math.ceil(t_max / dt))
     # larger draw blocks only amortize generator calls: the per-path normal
     # sequence is the same for any blocking
@@ -261,7 +318,8 @@ def exit_mgf_bvp_1d(interval, b: float, lam: float, h: float):
     """Closed-form MGF v(x) = E_x exp(lambda tau_Y) for constant drift.
 
     Subcritical case b^2 > 4 lambda only; exponentials are anchored at the
-    endpoint where each is largest so the 2x2 solve never overflows.
+    endpoint where each is largest so the 2x2 solve never overflows.  v
+    raises GeometryError at a point outside [a, b].
     """
     b = float(b)
     if b * b <= 4.0 * lam:
@@ -279,6 +337,8 @@ def exit_mgf_bvp_1d(interval, b: float, lam: float, h: float):
 
     def v(x):
         x = np.asarray(x, dtype=float)
+        if np.any((x < a) | (x > bb)):
+            raise GeometryError(f"v is defined on [{a}, {bb}] only")
         return A * np.exp(rp * (x - xp)) + B * np.exp(rm * (x - xm))
 
     return v

@@ -4,7 +4,9 @@ sigma_min(P - z) is ||A v|| for the top eigenvector v of the Hermitian
 v -> A^{-1} A^{-H} v, which ARPACK finds from one sparse LU of A = P - z at
 every n (Wright & Trefethen, SIAM J. Sci. Comput. 2001); a dense SVD is the
 test oracle only.  1/sigma_min is the discrete resolvent norm, so decay of
-sigma_min in h certifies pseudospectral growth.
+sigma_min in h certifies pseudospectral growth.  Eigenvalues are
+shift-invert ARPACK in real arithmetic on one LU of P - shift.  Both LUs
+come from the one ``operators.factorize``.
 
 Localization profiles bin the squared modulus of the minimal singular vector
 by distance to the boundary and by boundary-arc position tagged with the
@@ -17,12 +19,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
 from .errors import ResolutionError
 from .geometry import classify_boundary
-from .operators import GridOperator, assemble_1d, assemble_2d
+from .operators import GridOperator, assemble_1d, assemble_2d, factorize
 
 SIGMA_FLOOR_FACTOR = 1e-14
 _SEED = 20210607
@@ -67,7 +70,7 @@ def smallest_singular_value(op: GridOperator, z: complex,
     v0 = rng.normal(size=n) + 1j * rng.normal(size=n)
     v0 /= np.linalg.norm(v0)
     try:
-        lu = spla.splu(A)
+        lu = factorize(A)
     except RuntimeError:
         # z is numerically an eigenvalue: factorization breakdown
         return SigmaMin(floor, v0, True, True, "singular-factorization")
@@ -190,18 +193,21 @@ class EigenResult:
     converged: bool
 
 
-def eigenvalues(op: GridOperator, k: int, sigma_shift: complex = 0.0
+def eigenvalues(op: GridOperator, k: int, sigma_shift: float = 0.0
                 ) -> EigenResult:
     """k eigenvalues of smallest real part (shift-invert near sigma_shift)."""
     if k > op.n // 4:
         raise ResolutionError(
             f"k = {k} exceeds a quarter of the dimension {op.n}: refine the grid")
+    shift = float(sigma_shift)
     A = op.matrix.tocsc()
+    lu = factorize(A - shift * sp.identity(op.n, format="csc"))
+    OPinv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype)
     # a fixed ARPACK start vector: without one, scipy seeds it from OS
     # entropy and the returned eigenvalues vary between runs
-    v0 = np.random.default_rng(_SEED).standard_normal(op.n).astype(A.dtype)
+    v0 = np.random.default_rng(_SEED).standard_normal(op.n)
     try:
-        vals = spla.eigs(A, k=k, sigma=sigma_shift, v0=v0,
+        vals = spla.eigs(A, k=k, sigma=shift, v0=v0, OPinv=OPinv,
                          return_eigenvectors=False)
         order = np.argsort(vals.real)
         return EigenResult(vals[order], True)

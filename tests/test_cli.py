@@ -64,20 +64,20 @@ FROZEN_DIGESTS = {
                   "quasimode_manifest.json": "0c3043fcf9c7c51d"},
     "pseudospectrum": {"heatmap_h0.05.svg": "729c0fd13e572770",
                        "heatmap_h0.1.svg": "9a79ae4d67518773",
-                       "pseudospectrum_h0.05.csv": "284bbe5df377d3df",
-                       "pseudospectrum_h0.1.csv": "751535b9f3ef6966",
-                       "scan_summary.json": "e4e59b104de1eb7a"},
-    "spectrum": {"eigenvalues.csv": "af7d96f8681cb4d9",
+                       "pseudospectrum_h0.05.csv": "3356a2a20b0c89f1",
+                       "pseudospectrum_h0.1.csv": "33ddb5c7a5ce59e2",
+                       "scan_summary.json": "9e30183fbeb7551b"},
+    "spectrum": {"eigenvalues.csv": "4d279a7110f941c2",
                  "spectrum_summary.json": "60cf0fb9a1c0065c"},
-    "pseudomode": {"arc_profile.csv": "15b3d71d71614183",
-                   "pseudomode.csv": "0d7e9ef6eca3049d",
-                   "pseudomode_summary.json": "a4e35cfa8ee7a78c",
-                   "radial_profile.csv": "764b0c908826083a"},
+    "pseudomode": {"arc_profile.csv": "b3620096e1194aff",
+                   "pseudomode.csv": "e1292ffe89dd30a3",
+                   "pseudomode_summary.json": "8732b209af227790",
+                   "radial_profile.csv": "322e3d2a5df3cbd5"},
     "exit-time": {"estimate.json": "ffef0f927208d275",
                   "samples.csv": "e1a516c7b8874ef1",
                   "survival.csv": "8b35c0a3079a0a0d"},
-    "blowup": {"blowup_report.json": "325fb94d3cb87d9b",
-               "trajectory.csv": "895bedfe11168a0d"},
+    "blowup": {"blowup_report.json": "0c44b3e4421c09ad",
+               "trajectory.csv": "6f0e6ec513ce9dea"},
 }
 
 

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from pslab.errors import SupercriticalError, UnreliableTailError
+from pslab.errors import GeometryError, SupercriticalError, UnreliableTailError
 from pslab.geometry import Disk, Interval
 from pslab.operators import conjugated_spectrum_oracle
 from pslab.sde import (
@@ -22,6 +22,21 @@ class TestSimulation:
     def test_boundary_start_exits_immediately(self):
         ens = simulate_exit_ensemble(INTERVAL, 0.0, 0.05, [0.0], 1e-4, 1, 3, 1.0)
         assert np.all(ens.tau == 0.0)
+
+    def test_start_outside_raises(self):
+        with pytest.raises(GeometryError):
+            simulate_exit_ensemble(INTERVAL, 0.0, 0.05, [1.5], 1e-4, 1, 3, 1.0)
+        with pytest.raises(GeometryError):
+            simulate_exit_refinement_pair(Disk((0, 0), 1.0), [0.5, 0.0], 0.1,
+                                          [0.0, 1.2], 1e-3, 1, 3, 1.0)
+
+    def test_int_t_max_equals_float_t_max(self):
+        # an int t_max once gave an int tau array: every exit time truncated
+        args = (INTERVAL, 0.8, 0.05, [0.3], 5e-3, 11, 32)
+        a = simulate_exit_ensemble(*args, t_max=3)
+        b = simulate_exit_ensemble(*args, t_max=3.0)
+        assert a.tau.dtype == np.float64
+        assert _digests(a) == _digests(b)
 
     def test_determinism_bitwise(self):
         a = simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 42, 64, 20.0)
@@ -168,6 +183,12 @@ class TestBvpOracle:
         # derived by solving the 2x2 boundary system directly
         v = exit_mgf_bvp_1d(INTERVAL, 0.8, 0.1, 0.05)
         assert v(0.05) == pytest.approx(7.895262516701409, rel=1e-12)
+
+    def test_outside_interval_raises(self):
+        v = exit_mgf_bvp_1d(INTERVAL, 0.8, 0.1, 0.05)
+        for x in (-0.01, 1.01, [0.5, 1.2]):
+            with pytest.raises(GeometryError):
+                v(x)
 
     def test_supercritical_rejected(self):
         with pytest.raises(SupercriticalError):

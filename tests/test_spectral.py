@@ -20,10 +20,15 @@ class TestSigmaMin:
         # the sparse path equals the dense SVD to 1e-8 relative; at h = 0.005
         # the Re z = -0.5 corners of the scan rectangle are the hard case:
         # (sigma_n / sigma_{n-1})^2 = 0.998 there
-        cases = [(0.1, 150, z) for z in (1 + 0.5j, -0.5 + 0.5j, 0.3)]
-        cases += [(0.005, 1599, z) for z in (-0.5 - 1.5j, -0.5 + 1.5j)]
-        for h, n, z in cases:
-            op = assemble_1d(INTERVAL, h, 1.0, n)
+        # the disk rows check the threshold-pivoted LU on Shortley-Weller arms
+        coarse = assemble_1d(INTERVAL, 0.1, 1.0, 150)
+        fine = assemble_1d(INTERVAL, 0.005, 1.0, 1599)
+        disk = assemble_2d(Disk((0, 0), 1.0), 0.1, [1.0, 0.0], 1.0 / 20)
+        zs = (1 + 0.5j, -0.5 + 0.5j, 0.3)
+        cases = [(coarse, z) for z in zs]
+        cases += [(fine, z) for z in (-0.5 - 1.5j, -0.5 + 1.5j)]
+        cases += [(disk, z) for z in zs]
+        for op, z in cases:
             dense = smallest_singular_value(op, z, method="dense")
             sparse = smallest_singular_value(op, z, method="sparse")
             assert sparse.converged
