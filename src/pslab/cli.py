@@ -520,12 +520,11 @@ def run_blowup(domain, field, params, art: Artifacts):
                  snapshot_times=params["snapshot_times"])
     lam = eigenvalues(op, 5, sigma_shift=mu + 0.05).values
     spectral_bound = float(np.max(-(lam.real - mu)))
-    rows = []
-    for t in sorted(res.snapshots):
-        u = res.snapshots[t]
-        for x, v in zip(op.points[:, 0], u):
-            rows.append((t, x, v))
-    art.write_csv("trajectory.csv", ["t", "x", "u"], rows)
+    # rows are formatted as they are made: a list of every (t, x, u)
+    # tuple would be the blow-up run's largest allocation
+    art.write_csv("trajectory.csv", ["t", "x", "u"],
+                  ((t, x, v) for t in sorted(res.snapshots)
+                   for x, v in zip(op.points[:, 0], res.snapshots[t])))
     report = {
         "blew_up": res.blew_up, "t_blowup": res.t_blowup,
         "threshold": BLOWUP_THRESHOLD, "spectral_bound": spectral_bound,

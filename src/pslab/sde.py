@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import GeometryError, SupercriticalError, UnreliableTailError
 
@@ -79,58 +80,33 @@ def default_t_max(h: float, lam: float) -> float:
     return 50.0 * h * max(1.0, abs(math.log(h))) / lam
 
 
-class _Streams:
-    """The Philox streams keyed (seed, i) of batch paths i in [lo, hi).
+class _PathKeys(ISeedSequence):
+    """Seeds Philox bit generators with the keys (seed, i), i = lo, lo + 1, ...
 
-    ``np.random.Philox(key=...)`` takes 12-18 us, most of it a
-    SeedSequence drawn from OS entropy that the key then overrides, while
-    many paths exit within their first draw.  So a path's first draw comes
-    from one shared bit generator re-keyed through its ``state`` setter,
-    and only a path that draws again gets its own generator, started from
-    the state saved after that draw.  Re-keying at every draw would cost
-    more than a generator on long paths.  Either way a path's normals are
-    exactly those of ``Philox(key=(seed, i))``.
+    ``Philox(key=...)`` first builds a SeedSequence from OS entropy that
+    the key then overrides.  A bit generator draws its key from its seed
+    sequence once, as it is built, so generators built in turn from this
+    one object get consecutive keys, with no entropy drawn and no seed
+    object kept per path.  The counter starts at 0 either way, so for a
+    seed below 2^63 path i's normals are exactly those of
+    ``Philox(key=(seed, i))``.  Above it that call rounds the seed through
+    float64 (2^64 - 1 becomes 0); here every seed in [0, 2^64) is its own
+    key.
     """
 
-    def __init__(self, seed: int, lo: int, hi: int):
-        self.bits = np.random.Philox(key=(int(seed), int(lo)))
-        self.shared = np.random.Generator(self.bits)
-        self.fresh = self.bits.state      # counter 0; key[1] set per path
-        self.resume = self.bits.state     # filled from `saved`
-        # seeds a path's own generator without OS entropy; the state
-        # setter then overwrites all of it
-        self.seq = np.random.SeedSequence(0)
-        self.lo = lo
-        # counter, buffered words and buffer position after the first draw;
-        # standard_normal takes whole 64-bit words, so no 32-bit half is kept
-        self.saved = np.zeros((hi - lo, 9), dtype=np.uint64)
-        self.drawn = np.zeros(hi - lo, dtype=bool)
-        self.gens: list = [None] * (hi - lo)
+    def __init__(self, seed: int, lo: int):
+        self.seed, self.index = seed, lo
 
-    def standard_normal(self, a: int, out: np.ndarray):
-        """Fill out with the next normals of batch path a."""
-        if self.gens[a] is not None:
-            self.gens[a].standard_normal(out=out)
-        elif self.drawn[a]:
-            # a second draw: the path has its own generator from here on
-            row, state = self.saved[a], self.resume
-            state["state"]["key"][1] = self.lo + a
-            state["state"]["counter"][:] = row[:4]
-            state["buffer"][:] = row[4:8]
-            state["buffer_pos"] = int(row[8])
-            bits = np.random.Philox(self.seq)
-            bits.state = state
-            self.gens[a] = np.random.Generator(bits)
-            self.gens[a].standard_normal(out=out)
-        else:
-            self.fresh["state"]["key"][1] = self.lo + a
-            self.bits.state = self.fresh
-            self.shared.standard_normal(out=out)
-            state = self.bits.state
-            self.saved[a, :4] = state["state"]["counter"]
-            self.saved[a, 4:8] = state["buffer"]
-            self.saved[a, 8] = state["buffer_pos"]
-            self.drawn[a] = True
+    def generate_state(self, n_words, dtype=np.uint32):
+        key = np.array([self.seed, self.index], dtype=np.uint64)
+        self.index += 1
+        return key
+
+
+def _path_generators(seed: int, lo: int, hi: int) -> list:
+    """The generators of paths lo, ..., hi - 1."""
+    keys = _PathKeys(seed, lo)
+    return [np.random.Generator(np.random.Philox(keys)) for _ in range(lo, hi)]
 
 
 class _Level:
@@ -239,7 +215,7 @@ def _simulate(domain, b, h: float, x0, seed: int, n_paths: int, t_max: float,
     n_draws = max(stride * n for _, stride, n in levels)
     for lo in range(0, n_paths, batch_size):
         hi = min(lo + batch_size, n_paths)
-        streams = _Streams(seed, lo, hi)
+        gens = _path_generators(seed, lo, hi)
         run = [_Level(ens, lo, hi, domain, b, start_sd, stride, n)
                for ens, (_, stride, n) in zip(out, levels)]
         buf = np.empty((hi - lo, chunk, d))
@@ -250,7 +226,7 @@ def _simulate(domain, b, h: float, x0, seed: int, n_paths: int, t_max: float,
             if not need.any():
                 break
             for a in np.flatnonzero(need):
-                streams.standard_normal(a, buf[a])
+                gens[a].standard_normal(out=buf[a])
             for lv in run:
                 lv.advance(buf, base)
         for lv in run:

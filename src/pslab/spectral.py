@@ -199,6 +199,8 @@ def eigenvalues(op: GridOperator, k: int, sigma_shift: float = 0.0
     if k > op.n // 4:
         raise ResolutionError(
             f"k = {k} exceeds a quarter of the dimension {op.n}: refine the grid")
+    if np.iscomplexobj(sigma_shift):
+        raise TypeError(f"the shift must be real, got {sigma_shift!r}")
     shift = float(sigma_shift)
     A = op.matrix.tocsc()
     lu = factorize(A - shift * sp.identity(op.n, format="csc"))

@@ -38,6 +38,14 @@ class TestSimulation:
         assert a.tau.dtype == np.float64
         assert _digests(a) == _digests(b)
 
+    def test_seeds_above_2_63_are_distinct(self):
+        # Philox(key=(seed, i)) rounds such seeds through float64, so
+        # 2^63 and 2^63 + 1 shared a stream, and 2^64 - 1 shared seed 0's
+        args = (INTERVAL, 0.8, 0.05, [0.3], 5e-3)
+        runs = [simulate_exit_ensemble(*args, s, 16, 3.0)
+                for s in (0, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1)]
+        assert len({_digests(r) for r in runs}) == 4
+
     def test_determinism_bitwise(self):
         a = simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 42, 64, 20.0)
         b = simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 42, 64, 20.0)

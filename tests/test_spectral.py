@@ -122,6 +122,13 @@ class TestEigenvalues:
         b = eigenvalues(opm, 4).values
         assert np.allclose(np.sort(a.real), np.sort(b.real), rtol=1e-10)
 
+    def test_complex_shift_rejected(self):
+        # float() of a NumPy complex scalar only warns and drops Im
+        op = assemble_1d(INTERVAL, 0.05, 1.0, 200)
+        for shift in (0.25 + 0.1j, np.complex128(0.25 + 0.1j)):
+            with pytest.raises(TypeError):
+                eigenvalues(op, 5, sigma_shift=shift)
+
     def test_repeat_calls_identical(self):
         # ARPACK starts from a fixed vector; from a random one the fifth
         # eigenvalue of this operator moves by about 1e-4 between calls
