@@ -8,11 +8,11 @@ declared once in ``REGISTRY``: an integral float is accepted wherever an
 integer is, and an undeclared key is an error.  Validation failures exit with
 status 2 and name the offending key; compute failures exit with status 1.
 Files are written only when a run succeeds, so a failed run leaves no output
-directory.  Outputs are deterministic for a fixed config and seed: CSV files
-are RFC-4180 with '.' decimals and 17-significant-digit scientific notation,
-and the manifest lists every written file with its SHA-256 hash plus the
-verbatim config.  The output directory may be overridden by --out or the
-PSLAB_OUT variable.
+directory.  Outputs are deterministic for a fixed config and seed: a CSV file
+has one header line, CRLF line ends, floats as %.16e (17 significant digits),
+true/false and decimal ints; the manifest lists every written file with its
+SHA-256 hash plus the verbatim config.  The output directory may be
+overridden by --out or the PSLAB_OUT variable.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from collections import namedtuple
@@ -50,11 +49,6 @@ from .spectral import (
     pseudomode_localization,
     pseudospectrum_scan,
 )
-
-def fnum(x) -> str:
-    """17-significant-digit scientific notation: stable for byte replay."""
-    return format(float(x), ".16e")
-
 
 # ===================================================================== #
 #  config parsing and validation
@@ -196,6 +190,22 @@ def validate(config: dict):
 #  artifact writing
 # ===================================================================== #
 
+_CSV_ROWS = 4096       # rows formatted together by Artifacts.write_csv
+
+
+def _cells(col: np.ndarray) -> list:
+    """The CSV text of each cell of a column block."""
+    if col.dtype.kind == "b":
+        col = np.where(col, "true", "false")
+    if col.dtype.kind != "f":
+        return col.tolist()         # str and int cells format as %s
+    # keyed by bit pattern, not value, so -0.0 and 0.0 stay apart
+    bits = col.astype(np.float64, copy=False).view(np.uint64)
+    bits, inv = np.unique(bits, return_inverse=True)
+    text = map("%.16e".__mod__, bits.view(np.float64).tolist())
+    return np.array(list(text), dtype=object)[inv].tolist()
+
+
 class Artifacts:
     """A run's files, held with their hashes until ``finish`` writes them
     and the manifest: a run that fails creates no output directory."""
@@ -210,21 +220,17 @@ class Artifacts:
         self.files[name] = data
         self.hashes[name] = hashlib.sha256(data).hexdigest()
 
-    def write_csv(self, name: str, header: list[str], rows):
-        lines = [",".join(header)]
-        for row in rows:
-            cells = []
-            for c in row:
-                if isinstance(c, str):
-                    cells.append(c)
-                elif isinstance(c, (bool, np.bool_)):
-                    cells.append("true" if c else "false")
-                elif isinstance(c, (int, np.integer)):
-                    cells.append(str(int(c)))
-                else:
-                    cells.append(fnum(c))
-            lines.append(",".join(cells))
-        self.write_bytes(name, ("\r\n".join(lines) + "\r\n").encode())
+    def write_csv(self, name: str, columns: dict):
+        """columns: header -> 1-D array, all of one length.  Rows are
+        formatted _CSV_ROWS at a time, each distinct float of a block once:
+        lattice columns repeat, and a block bounds the strings held."""
+        cols = [np.asarray(c) for c in columns.values()]
+        row = ",".join(["%s"] * len(cols)) + "\r\n"
+        parts = [(",".join(columns) + "\r\n").encode()]
+        for lo in range(0, len(cols[0]), _CSV_ROWS):
+            cells = [_cells(c[lo:lo + _CSV_ROWS]) for c in cols]
+            parts.append("".join(map(row.__mod__, zip(*cells))).encode())
+        self.write_bytes(name, b"".join(parts))
 
     def write_json(self, name: str, obj):
         self.write_bytes(name, (json.dumps(obj, indent=2, sort_keys=True)
@@ -341,18 +347,20 @@ def emit_svg_heatmap(re_values, im_values, grid,
 #  experiment implementations
 # ===================================================================== #
 
+def _xy(points, x="x", y="y") -> dict:
+    """Columns x, y of (n, 1) or (n, 2) points; y is 0 in one dimension."""
+    pts = np.pad(np.asarray(points, dtype=float), [(0, 0), (0, 1)])
+    return {x: pts[:, 0], y: pts[:, 1]}
+
+
 def run_classify(domain, field, params, art: Artifacts):
     samples = classify_boundary(domain, field, params["n_samples"],
                                 tol=params["tol"])
-    rows = []
-    for s in samples:
-        x = s.point[0]
-        y = s.point[1] if len(s.point) > 1 else 0.0
-        nx = s.normal[0]
-        ny = s.normal[1] if len(s.normal) > 1 else 0.0
-        rows.append((s.t, x, y, nx, ny, s.curvature, s.classification))
-    art.write_csv("boundary.csv",
-                  ["t", "x", "y", "nu_x", "nu_y", "curvature", "class"], rows)
+    art.write_csv("boundary.csv", {
+        "t": [s.t for s in samples], **_xy([s.point for s in samples]),
+        **_xy([s.normal for s in samples], "nu_x", "nu_y"),
+        "curvature": [s.curvature for s in samples],
+        "class": [s.classification for s in samples]})
 
 
 def run_hull(domain, field, params, art: Artifacts):
@@ -361,15 +369,17 @@ def run_hull(domain, field, params, art: Artifacts):
         pred = predicted_support(domain, field, n_samples=params["n_samples"],
                                  resolution=res)
         hull = pred.hull
-        art.write_csv("tight_arcs.csv", ["t0", "t1"], pred.tight_arcs)
+        art.write_csv("tight_arcs.csv", _xy(np.reshape(pred.tight_arcs,
+                                                       (-1, 2)), "t0", "t1"))
     else:
         hull = relative_convex_hull(domain, gens, resolution=res)
     art.write_json("hull.geojson", hull.to_geojson())
-    art.write_csv("hull_arcs.csv", ["t0", "t1"], hull.boundary_arcs())
+    art.write_csv("hull_arcs.csv", _xy(np.reshape(hull.boundary_arcs(),
+                                                  (-1, 2)), "t0", "t1"))
     spacing = params["oracle_spacing"]
     if spacing is not None:
         oracle = relhull_grid_oracle(domain, hull.generators, spacing)
-        art.write_csv("oracle_points.csv", ["x", "y"], oracle)
+        art.write_csv("oracle_points.csv", _xy(oracle))
         d = hausdorff_distance(oracle, hull.rasterize(spacing))
         art.write_json("oracle_check.json",
                        {"spacing": spacing, "hausdorff": d,
@@ -388,10 +398,9 @@ def run_quasimode(domain, field, params, art: Artifacts):
     x0c = q.frame.x0
     half = 1.2 * q.cutoff.r_outer
     if domain.dimension == 1:
-        xs = np.linspace(max(domain.a, x0c[0] - half),
-                         min(domain.b, x0c[0] + half), nx)
-        vals = q.fields(xs[:, None])[0]
-        rows = [(x, 0.0, v.real, v.imag) for x, v in zip(xs, vals)]
+        pts = np.linspace(max(domain.a, x0c[0] - half),
+                          min(domain.b, x0c[0] + half), nx)[:, None]
+        vals = q.fields(pts)[0]
     else:
         xs = np.linspace(x0c[0] - half, x0c[0] + half, nx)
         ys = np.linspace(x0c[1] - half, x0c[1] + half, ny)
@@ -400,8 +409,8 @@ def run_quasimode(domain, field, params, art: Artifacts):
         inside = domain.signed_distance(pts) < 0
         vals = np.zeros(len(pts), dtype=complex)
         vals[inside] = q.fields(pts[inside])[0]
-        rows = [(p[0], p[1], v.real, v.imag) for p, v in zip(pts, vals)]
-    art.write_csv("quasimode_grid.csv", ["x", "y", "re_u", "im_u"], rows)
+    art.write_csv("quasimode_grid.csv", {**_xy(pts), "re_u": vals.real,
+                                         "im_u": vals.imag})
     seed = q.phases[0].seed
     art.write_json("quasimode_manifest.json", {
         "z": [z.real, z.imag], "h": h,
@@ -418,9 +427,10 @@ def run_pseudospectrum(domain, field, params, art: Artifacts):
     for h in params["h_list"]:
         g = pseudospectrum_scan(domain, field.X, params["rect"],
                                 params["resolution"], [h], params["dx_rule"])[0]
-        rows = [(a, b, s, flag) for a, b, s, flag in g.rows()]
-        name = f"pseudospectrum_h{h:g}.csv"
-        art.write_csv(name, ["re_z", "im_z", "sigma_min", "in_region"], rows)
+        re_z, im_z = np.meshgrid(g.re_values, g.im_values)
+        art.write_csv(f"pseudospectrum_h{h:g}.csv", {
+            "re_z": re_z.ravel(), "im_z": im_z.ravel(),
+            "sigma_min": g.sigma.ravel(), "in_region": g.in_region.ravel()})
         svg = emit_svg_heatmap(g.re_values, g.im_values, g.sigma,
                                field_norm=field.norm,
                                title=f"log10 sigma_min, h = {h:g}")
@@ -442,9 +452,10 @@ def run_spectrum(domain, field, params, art: Artifacts):
     try:
         oracle = conjugated_spectrum_oracle(domain, h, field.X, k)
     except PslabError:
-        oracle = [math.nan] * k
-    rows = [(v.real, v.imag, o) for v, o in zip(res.values, oracle)]
-    art.write_csv("eigenvalues.csv", ["re", "im", "oracle"], rows)
+        oracle = np.full(k, np.nan)
+    vals = res.values
+    art.write_csv("eigenvalues.csv", {"re": vals.real, "im": vals.imag,
+                                      "oracle": oracle[:len(vals)]})
     art.write_json("spectrum_summary.json",
                    {"converged": res.converged, "k": k, "h": h})
 
@@ -456,16 +467,14 @@ def run_pseudomode(domain, field, params, art: Artifacts):
     else:
         op = assemble_2d(domain, h, field.X, params["dx"])
     sm, prof = pseudomode_localization(op, z, field)
-    art.write_csv("radial_profile.csv", ["r0", "r1", "mass"],
-                  [(prof.radial_edges[i], prof.radial_edges[i + 1],
-                    prof.radial_mass[i]) for i in range(len(prof.radial_mass))])
-    art.write_csv("arc_profile.csv", ["t", "mass", "class"],
-                  [(prof.arc_centers[i], prof.arc_mass[i], prof.arc_class[i])
-                   for i in range(len(prof.arc_mass))])
-    art.write_csv("pseudomode.csv",
-                  ["x", "y", "mass"],
-                  [(p[0], p[1] if len(p) > 1 else 0.0, m)
-                   for p, m in zip(prof.node_points, prof.node_mass)])
+    edges = prof.radial_edges
+    art.write_csv("radial_profile.csv", {"r0": edges[:-1], "r1": edges[1:],
+                                         "mass": prof.radial_mass})
+    art.write_csv("arc_profile.csv", {"t": prof.arc_centers,
+                                      "mass": prof.arc_mass,
+                                      "class": prof.arc_class})
+    art.write_csv("pseudomode.csv", {**_xy(prof.node_points),
+                                     "mass": prof.node_mass})
     art.write_json("pseudomode_summary.json", {
         "sigma_min": sm.value, "at_floor": sm.at_floor,
         "converged": sm.converged,
@@ -481,9 +490,9 @@ def run_exit_time(domain, field, params, art: Artifacts):
     ens = simulate_exit_ensemble(domain, np.asarray(params["b"]), h,
                                  params["x0"], params["dt"], params["seed"],
                                  params["n_paths"], params["t_max"])
-    rows = [(t, p[0], p[1] if len(p) > 1 else 0.0, bool(f))
-            for t, p, f in zip(ens.tau, ens.exit_points, ens.truncated)]
-    art.write_csv("samples.csv", ["tau", "exit_x", "exit_y", "truncated"], rows)
+    art.write_csv("samples.csv", {
+        "tau": ens.tau, **_xy(ens.exit_points, "exit_x", "exit_y"),
+        "truncated": ens.truncated})
     # validate() keeps lambda below 0.9 lambda_1 on an interval or a disk
     est = mgf_estimate(ens, lam, h)
     payload = {"lambda": lam, "h": h, "mgf": est.estimate,
@@ -498,11 +507,10 @@ def run_exit_time(domain, field, params, art: Artifacts):
             payload["bvp_value"] = None
     art.write_json("estimate.json", payload)
     if params["survival_s"] is not None:
-        rows = []
-        for s in params["survival_s"]:
-            sv = survival_probability(ens, s, lam)
-            rows.append((s, sv.probability, sv.lower, sv.upper))
-        art.write_csv("survival.csv", ["s", "prob", "lo", "hi"], rows)
+        svs = [survival_probability(ens, s, lam) for s in params["survival_s"]]
+        art.write_csv("survival.csv", {
+            "s": params["survival_s"], "prob": [sv.probability for sv in svs],
+            "lo": [sv.lower for sv in svs], "hi": [sv.upper for sv in svs]})
 
 
 def run_blowup(domain, field, params, art: Artifacts):
@@ -520,11 +528,10 @@ def run_blowup(domain, field, params, art: Artifacts):
                  snapshot_times=params["snapshot_times"])
     lam = eigenvalues(op, 5, sigma_shift=mu + 0.05).values
     spectral_bound = float(np.max(-(lam.real - mu)))
-    # rows are formatted as they are made: a list of every (t, x, u)
-    # tuple would be the blow-up run's largest allocation
-    art.write_csv("trajectory.csv", ["t", "x", "u"],
-                  ((t, x, v) for t in sorted(res.snapshots)
-                   for x, v in zip(op.points[:, 0], res.snapshots[t])))
+    times = sorted(res.snapshots)
+    art.write_csv("trajectory.csv", {
+        "t": np.repeat(times, op.n), "x": np.tile(op.points[:, 0], len(times)),
+        "u": np.reshape([res.snapshots[t] for t in times], -1)})
     report = {
         "blew_up": res.blew_up, "t_blowup": res.t_blowup,
         "threshold": BLOWUP_THRESHOLD, "spectral_bound": spectral_bound,

@@ -180,9 +180,8 @@ def evolve(op: GridOperator, mu: float, p: float, u0: np.ndarray, dt0: float,
 
     The final step is clamped onto t_end: a step after which at most
     1e-9 dt0 would remain ends the run at t_end, and a final step within
-    1e-9 (relative) of an already-factored dt takes that dt.  So no sliver
-    step is taken, no near-duplicate dt is factorized, and
-    times[-1] == t_end.
+    1e-9 (relative) of the current dt takes that dt.  So no sliver step is
+    taken, no near-duplicate dt is factorized, and times[-1] == t_end.
     """
     h = op.h
     n = op.n
@@ -191,12 +190,7 @@ def evolve(op: GridOperator, mu: float, p: float, u0: np.ndarray, dt0: float,
         raise ValueError(f"initial data must match the {n}-point grid")
     I = sp.identity(n, format="csc")
     A = op.matrix.tocsc()
-    lus = {}
-
-    def solver(dt):
-        if dt not in lus:
-            lus[dt] = factorize((I + (dt / h) * (A - mu * I)).tocsc())
-        return lus[dt]
+    lu_dt, lu = 0.0, None       # the current dt's LU: a blow-up only halves dt
 
     want_snaps = sorted(float(s) for s in snapshot_times) \
         if snapshot_times is not None else []
@@ -220,11 +214,14 @@ def evolve(op: GridOperator, mu: float, p: float, u0: np.ndarray, dt0: float,
             while dt > cap:
                 dt *= 0.5
         dt = min(dt, t_end - t)
-        dt = next((d for d in lus if abs(dt - d) <= 1e-9 * d), dt)
+        dt = lu_dt if abs(dt - lu_dt) <= 1e-9 * lu_dt else dt
         last = t_end - t - dt <= 1e-9 * dt0
         dt_min = min(dt_min, dt)
         rhs = u + (dt / h) * np.maximum(u, 0.0) ** p if nonlinear else u.copy()
-        u = solver(dt).solve(rhs)
+        if dt != lu_dt:
+            lu_dt, lu = dt, None        # free the old factor first
+            lu = factorize((I + (dt / h) * (A - mu * I)).tocsc())
+        u = lu.solve(rhs)
         if float(u.min()) < -_POSITIVITY_TOL * max(1.0, float(np.max(np.abs(u)))):
             raise PslabError(
                 f"positivity lost at t = {t:.5f}: min u = {u.min():.3e}")

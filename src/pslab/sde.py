@@ -213,6 +213,7 @@ def _simulate(domain, b, h: float, x0, seed: int, n_paths: int, t_max: float,
             ens.tau[:] = 0.0
         return out
     n_draws = max(stride * n for _, stride, n in levels)
+    batch_size = min(batch_size, _BATCH)    # bounds the draw buffer's rows
     for lo in range(0, n_paths, batch_size):
         hi = min(lo + batch_size, n_paths)
         gens = _path_generators(seed, lo, hi)

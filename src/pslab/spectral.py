@@ -117,11 +117,6 @@ class PseudospectrumGrid:
     converged: np.ndarray
     in_region: np.ndarray
 
-    def rows(self):
-        for j, b in enumerate(self.im_values):
-            for i, a in enumerate(self.re_values):
-                yield a, b, self.sigma[j, i], bool(self.in_region[j, i])
-
 
 def _operator_for(domain, h: float, X, dx: float) -> GridOperator:
     if domain.dimension == 1:

@@ -1,10 +1,16 @@
 import json
 import math
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pslab.cli import emit_svg_heatmap, main, run
+from pslab import cli
+from pslab.cli import Artifacts, emit_svg_heatmap, main, run
 from pslab.errors import ConfigError
 
 
@@ -414,6 +420,85 @@ class TestRunner:
         assert rep["blew_up"] and rep["t_blowup"] <= 0.5
         assert rep["spectral_bound"] <= -0.04
         assert rep["subsolution"]["ok"]
+
+
+def reference_csv(header, rows) -> bytes:
+    """The per-cell formatter the columnar writer must match byte for byte."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = []
+        for c in row:
+            if isinstance(c, str):
+                cells.append(c)
+            elif isinstance(c, (bool, np.bool_)):
+                cells.append("true" if c else "false")
+            elif isinstance(c, (int, np.integer)):
+                cells.append(str(int(c)))
+            else:
+                cells.append(format(float(c), ".16e"))
+        lines.append(",".join(cells))
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
+def written_csv(columns: dict) -> bytes:
+    art = Artifacts(Path("unused"), "")
+    art.write_csv("t.csv", columns)
+    return art.files["t.csv"]
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                  5e-324, -5e-324, 2.2250738585072009e-308, sys.float_info.max,
+                  -sys.float_info.max, 1.8e308, -1.8e308, 1.0, 0.1, -2.5]
+# every float64 bit pattern: NaN payloads and subnormals included
+FLOAT_BITS = st.one_of(
+    st.integers(0, 2 ** 64 - 1),
+    st.sampled_from(SPECIAL_FLOATS).map(
+        lambda v: int(np.float64(v).view(np.uint64))))
+
+
+def column(kind: str, n: int):
+    if kind == "f":
+        return st.lists(FLOAT_BITS, min_size=n, max_size=n).map(
+            lambda b: np.array(b, dtype=np.uint64).view(np.float64))
+    if kind == "b":
+        return st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+    if kind == "i":
+        return st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=n,
+                        max_size=n).map(lambda v: np.array(v, dtype=np.int64))
+    # a list of str, as the runners pass class names (numpy drops a
+    # trailing NUL from its fixed-width strings)
+    return st.lists(st.text(st.characters(codec="utf-8",
+                                          exclude_characters="\x00"),
+                            max_size=6), min_size=n, max_size=n)
+
+
+class TestCsvWriter:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 40), block=st.integers(1, 16),
+           kinds=st.lists(st.sampled_from("fbis"), min_size=1, max_size=5))
+    def test_matches_per_cell_reference(self, data, n, block, kinds):
+        # a small block makes row counts straddle block edges
+        cols = {f"c{k}": data.draw(column(kind, n))
+                for k, kind in enumerate(kinds)}
+        with mock.patch.object(cli, "_CSV_ROWS", block):
+            got = written_csv(cols)
+        assert got == reference_csv(list(cols), zip(*cols.values()))
+
+    @pytest.mark.parametrize("n", [0, 1, cli._CSV_ROWS - 1, cli._CSV_ROWS,
+                                   cli._CSV_ROWS + 1, 2 * cli._CSV_ROWS + 3])
+    def test_lattice_columns_across_blocks(self, n):
+        # repeated lattice coordinates, signed zeros and distinct values
+        rng = np.random.default_rng(n)
+        x = np.repeat(np.linspace(-1.0, 1.0, 97), 100)[:n]
+        mass = rng.standard_normal(n) * (rng.random(n) < 0.5)
+        mass[::7] = -0.0
+        cols = {"x": x, "mass": mass, "in": mass > 0,
+                "k": np.arange(n) - 5, "class": ["shadow"] * n}
+        assert written_csv(cols) == reference_csv(list(cols),
+                                                  zip(*cols.values()))
+
+    def test_header_only(self):
+        assert written_csv({"t0": [], "t1": []}) == b"t0,t1\r\n"
 
 
 class TestSvg:

@@ -186,6 +186,34 @@ class TestEvolve:
         assert abs(res.times[-1] - t_end) <= 1e-12
         assert res.dt_min_used >= (1 - 1e-9) * dt0
 
+    def test_only_current_factor_kept(self, monkeypatch):
+        # dt only halves in a blow-up run, so no earlier factor is alive
+        # when the next one is built
+        import weakref
+
+        import pslab.evolution as evolution
+        real_factorize = evolution.factorize
+        factors, alive = [], []
+
+        class Factor:
+            def __init__(self, lu):
+                self.solve = lu.solve
+
+        def tracking_factorize(M):
+            alive.append(sum(f() is not None for f in factors))
+            factor = Factor(real_factorize(M))
+            factors.append(weakref.ref(factor))
+            return factor
+
+        monkeypatch.setattr(evolution, "factorize", tracking_factorize)
+        h = 0.01
+        op = fixture_operator(h, 400)
+        rep = bump_initial_data(fixture_bump(h), op.points, h)
+        res = evolve(op, 0.2, 2.0, 1.02 * rep.values, 2e-4, 0.6)
+        assert res.blew_up
+        assert len(alive) > 3
+        assert alive == [0] * len(alive)
+
     def test_instability_contrast(self):
         # amplitude cut by 100x still blows up before delta at smaller h:
         # the threshold is exponential in 1/h, not amplitude-polynomial

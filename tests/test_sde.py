@@ -67,6 +67,27 @@ class TestSimulation:
                                    batch_size=40)
         assert np.array_equal(a.tau, b.tau)
 
+    def test_draw_buffer_capped(self, monkeypatch):
+        # whatever batch_size asks for, one draw buffer holds at most
+        # _BATCH paths' normals, and the paths are the same
+        import pslab.sde as sde
+        whole = simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 9,
+                                       40, 20.0, batch_size=40)
+        rows = []
+        advance = sde._Level.advance
+
+        def spy(level, buf, base):
+            rows.append(buf.shape[0])
+            return advance(level, buf, base)
+
+        monkeypatch.setattr(sde, "_BATCH", 16)
+        monkeypatch.setattr(sde._Level, "advance", spy)
+        capped = simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 9,
+                                        40, 20.0, batch_size=100000)
+        assert max(rows) == 16
+        assert np.array_equal(capped.tau, whole.tau)
+        assert np.array_equal(capped.exit_points, whole.exit_points)
+
     def test_exit_points_on_boundary(self):
         ens = simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 3, 200, 20.0)
         done = ~ens.truncated

@@ -94,9 +94,9 @@ class TestScan:
         grids = pseudospectrum_scan(INTERVAL, [1.0], (-0.5, 1.5, -1.0, 1.0),
                                     (5, 5), [0.05])
         g = grids[0]
-        for a, b, s, flag in g.rows():
-            assert flag == (a >= b * b)
-            assert s > 0
+        a, b = np.meshgrid(g.re_values, g.im_values)
+        assert np.array_equal(g.in_region, a >= b * b)
+        assert np.all(g.sigma > 0)
 
 
 class TestEigenvalues:
