@@ -199,11 +199,10 @@ def _cells(col: np.ndarray) -> list:
         col = np.where(col, "true", "false")
     if col.dtype.kind != "f":
         return col.tolist()         # str and int cells format as %s
-    # keyed by bit pattern, not value, so -0.0 and 0.0 stay apart
-    bits = col.astype(np.float64, copy=False).view(np.uint64)
-    bits, inv = np.unique(bits, return_inverse=True)
-    text = map("%.16e".__mod__, bits.view(np.float64).tolist())
-    return np.array(list(text), dtype=object)[inv].tolist()
+    bits = col.astype(np.float64).view(np.uint64)   # -0.0 and 0.0 differ
+    bits, inv = np.unique(bits, return_inverse=True)   # format each once
+    text = list(map("%.16e".__mod__, bits.view(np.float64).tolist()))
+    return list(map(text.__getitem__, inv.tolist()))
 
 
 class Artifacts:
@@ -222,8 +221,7 @@ class Artifacts:
 
     def write_csv(self, name: str, columns: dict):
         """columns: header -> 1-D array, all of one length.  Rows are
-        formatted _CSV_ROWS at a time, each distinct float of a block once:
-        lattice columns repeat, and a block bounds the strings held."""
+        formatted _CSV_ROWS at a time, which bounds the strings held."""
         cols = [np.asarray(c) for c in columns.values()]
         row = ",".join(["%s"] * len(cols)) + "\r\n"
         parts = [(",".join(columns) + "\r\n").encode()]
@@ -369,13 +367,13 @@ def run_hull(domain, field, params, art: Artifacts):
         pred = predicted_support(domain, field, n_samples=params["n_samples"],
                                  resolution=res)
         hull = pred.hull
-        art.write_csv("tight_arcs.csv", _xy(np.reshape(pred.tight_arcs,
-                                                       (-1, 2)), "t0", "t1"))
+        a = np.reshape(pred.tight_arcs, (-1, 2))
+        art.write_csv("tight_arcs.csv", {"t0": a[:, 0], "t1": a[:, 1]})
     else:
         hull = relative_convex_hull(domain, gens, resolution=res)
     art.write_json("hull.geojson", hull.to_geojson())
-    art.write_csv("hull_arcs.csv", _xy(np.reshape(hull.boundary_arcs(),
-                                                  (-1, 2)), "t0", "t1"))
+    a = np.reshape(hull.boundary_arcs(), (-1, 2))
+    art.write_csv("hull_arcs.csv", {"t0": a[:, 0], "t1": a[:, 1]})
     spacing = params["oracle_spacing"]
     if spacing is not None:
         oracle = relhull_grid_oracle(domain, hull.generators, spacing)

@@ -182,6 +182,8 @@ def evolve(op: GridOperator, mu: float, p: float, u0: np.ndarray, dt0: float,
     1e-9 dt0 would remain ends the run at t_end, and a final step within
     1e-9 (relative) of the current dt takes that dt.  So no sliver step is
     taken, no near-duplicate dt is factorized, and times[-1] == t_end.
+    Only the current dt's LU is kept: a dt that comes back (sup u fell, or
+    the remainder onto t_end) is factorized again.
     """
     h = op.h
     n = op.n

@@ -241,7 +241,7 @@ def simulate_exit_ensemble(domain, b, h: float, x0, dt: float, seed: int,
     """Euler-Maruyama first-exit ensemble; deterministic in (seed, dt, x0).
 
     A start on the boundary exits at tau = 0; a start outside the domain
-    raises GeometryError.
+    raises GeometryError.  Paths run min(batch_size, _BATCH) at a time.
     """
     max_steps = int(math.ceil(t_max / dt))
     # larger draw blocks only amortize generator calls: the per-path normal

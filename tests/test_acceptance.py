@@ -225,10 +225,9 @@ def test_criterion_6_exit_time_mgf():
     h, b, lam = 0.05, 0.8, 0.1
     lam1 = conjugated_spectrum_oracle(INTERVAL, h, -b, 1)[0]
     # dt far below the h^2/4 cap (the discrete-crossing bias scales ~sqrt(dt)
-    # and must sit under the heavy-tailed Monte Carlo noise); single batch
+    # and must sit under the heavy-tailed Monte Carlo noise)
     ens = simulate_exit_ensemble(INTERVAL, b, h, [h], h * h / 64.0, 2026,
-                                 100000, default_t_max(h, lam),
-                                 batch_size=100000)
+                                 100000, default_t_max(h, lam))
     est = mgf_estimate(ens, lam, h, lambda1=lam1)
     want = float(exit_mgf_bvp_1d(INTERVAL, b, lam, h)(h))
     dev = abs(est.estimate - want)

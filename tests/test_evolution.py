@@ -214,6 +214,32 @@ class TestEvolve:
         assert len(alive) > 3
         assert alive == [0] * len(alive)
 
+    def test_decay_factorization_count(self, monkeypatch):
+        # one node and P = 0 with mu < -u0 < 0: u decays, so dt grows back
+        # through the halvings the initial sup forced
+        import pslab.evolution as evolution
+        h = 0.05
+        op = GridOperator(INTERVAL, h, np.array([1.0]), 0.5,
+                          sp.csr_matrix((1, 1)),
+                          np.array([[0.5]]), "scalar")
+        real_factorize = evolution.factorize
+        calls = []
+
+        def counting_factorize(M):
+            calls.append(M.shape)
+            return real_factorize(M)
+
+        monkeypatch.setattr(evolution, "factorize", counting_factorize)
+        res = evolve(op, -1.0, 2.0, np.array([0.9]), 0.05, 2.0)
+        assert not res.blew_up
+        assert np.all(np.diff(res.sup_norms) <= 0.0)
+        # dt climbs 0.05/8 -> 0.05/4 -> 0.05/2 -> 0.05, one factor each;
+        # the 0.0125 remainder onto t_end comes back after 0.05, so it is
+        # factorized a second time: only the current factor is kept
+        assert res.dt_min_used == 0.05 / 8
+        assert abs(res.times[-1] - res.times[-2] - 0.0125) <= 1e-12
+        assert len(calls) == 5
+
     def test_instability_contrast(self):
         # amplitude cut by 100x still blows up before delta at smaller h:
         # the threshold is exponential in 1/h, not amplitude-polynomial
