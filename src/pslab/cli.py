@@ -366,13 +366,14 @@ def run_hull(domain, field, params, art: Artifacts):
     if gens == "gamma_plus":
         pred = predicted_support(domain, field, n_samples=params["n_samples"],
                                  resolution=res)
-        hull = pred.hull
+        hull, arcs = pred.hull, pred.hull_arcs
         a = np.reshape(pred.tight_arcs, (-1, 2))
         art.write_csv("tight_arcs.csv", {"t0": a[:, 0], "t1": a[:, 1]})
     else:
         hull = relative_convex_hull(domain, gens, resolution=res)
+        arcs = hull.boundary_arcs()
     art.write_json("hull.geojson", hull.to_geojson())
-    a = np.reshape(hull.boundary_arcs(), (-1, 2))
+    a = np.reshape(arcs, (-1, 2))
     art.write_csv("hull_arcs.csv", {"t0": a[:, 0], "t1": a[:, 1]})
     spacing = params["oracle_spacing"]
     if spacing is not None:

@@ -15,6 +15,7 @@ illuminated/glancing/shadow classification.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -269,8 +270,10 @@ def localization_profile(op: GridOperator, vector: np.ndarray, field_X
         samples = classify_boundary(domain, field_X, _ARC_SAMPLES)
         bnd_pts = np.array([s.point for s in samples])
         bnd_t = np.array([s.t for s in samples])
-        tree = cKDTree(bnd_pts)
-        _, nearest = tree.query(pts)
+        # deep nodes are near-equidistant from every sample, so the tree
+        # prunes little; the query runs on every core the process may use
+        _, nearest = cKDTree(bnd_pts).query(
+            pts, workers=len(os.sched_getaffinity(0)))
         arc_t = bnd_t[nearest]
         edges = np.linspace(0.0, 1.0, _ARC_BINS + 1)
         which = np.clip(np.searchsorted(edges, arc_t, side="right") - 1,

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -697,33 +697,34 @@ class _AnalyticBoundary:
         self.r = domain.radius
         self.scale = 1.0 / domain.radius    # unit speed at y = 0
 
-    def _angle(self, y):
-        return self.theta0 + self.scale * y
+    def at(self, y):
+        """x_b, x_b', x_b'', the normal and its derivative at y, from one
+        cos/sin pair of the complex angle."""
+        th = self.theta0 + self.scale * y
+        cos, sin = np.cos(th), np.sin(th)
+        normal = np.stack([cos, sin], axis=-1)
+        turned = np.stack([-sin, cos], axis=-1)
+        return (self.c[None, :] + self.r * normal,
+                self.r * self.scale * turned,
+                -self.r * self.scale ** 2 * normal,
+                normal,
+                self.scale * turned)
 
-    def point(self, y):
-        th = self._angle(y)
-        return self.c[None, :] + self.r * np.stack([np.cos(th), np.sin(th)], axis=-1)
 
-    def d1(self, y):
-        th = self._angle(y)
-        return self.r * self.scale * np.stack([-np.sin(th), np.cos(th)], axis=-1)
-
-    def d2(self, y):
-        th = self._angle(y)
-        return -self.r * self.scale ** 2 * np.stack([np.cos(th), np.sin(th)], axis=-1)
-
-    def normal(self, y):
-        th = self._angle(y)
-        return np.stack([np.cos(th), np.sin(th)], axis=-1)
-
-    def dnormal(self, y):
-        th = self._angle(y)
-        return self.scale * np.stack([-np.sin(th), np.cos(th)], axis=-1)
+class _Ray(NamedTuple):
+    """One ray of the characteristic chart, at boundary parameter y."""
+    tb: np.ndarray     # tangential coordinate <x_b(y) - x0, tau>
+    xb: np.ndarray     # x_b(y)
+    xb1: np.ndarray    # x_b'(y)
+    v: np.ndarray      # normal component of xi
+    xi: np.ndarray     # covector d phi
+    xip: np.ndarray    # its y-derivative
+    c: np.ndarray      # ray direction 2 xi + iX
 
 
 def _bdot(a, b):
-    """Bilinear (unconjugated) dot along the last axis."""
-    return np.sum(a * b, axis=-1)
+    """Bilinear (unconjugated) dot along the last axis, of length 2."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
 class CharacteristicPhase:
@@ -732,6 +733,10 @@ class CharacteristicPhase:
     With constant X the bicharacteristics are straight complex lines
     x = x_b(y) + t (2 xi(y) + i X); the phase is phi_0(y) + t (2z - i<X, xi>)
     and d phi = xi(y), so p_z(x, d phi) = 0 holds identically.
+
+    Everything at one y comes from one ray evaluation (``_ray``) on top of
+    one boundary evaluation, so each Newton step of the chart inversion
+    makes exactly one of each.
 
     The boundary x_b(y) is the analytic continuation of a circle, so only a
     Disk is supported; any other domain raises GeometryError.
@@ -755,97 +760,79 @@ class CharacteristicPhase:
         self.X_frame = np.array([float(np.dot(seed.sp.X, frame.normal)),
                                  float(np.dot(seed.sp.X, frame.tangent))])
         # choose the square-root branch matching the seed at y = 0
+        y0 = np.array([0.0 + 0.0j])
         self._branch = 1.0
-        v0 = self._xi_normal_component(np.array([0.0 + 0.0j]))[0]
+        v0 = self._ray(y0).v[0]
         want = seed.sp.field_norm * (seed.alpha[root - 1] + 1j * seed.beta[root - 1])
-        n0 = self.bnd.normal(np.array([0.0 + 0.0j]))[0]
-        nfac = _bdot(n0, self.frame.normal.astype(complex))
+        _, _, _, n0, _ = self.bnd.at(y0)
+        nfac = _bdot(n0[0], self.frame.normal.astype(complex))
         if abs(v0 * nfac - want) > abs(v0 * nfac + want):
             self._branch = -1.0
-            v0 = self._xi_normal_component(np.array([0.0 + 0.0j]))[0]
+            v0 = self._ray(y0).v[0]
         if abs(v0 * nfac - want) > 1e-9 * max(1.0, abs(want)):
             raise OutOfChartError("failed to match the seed covector branch")
 
     # -------------------------------------------------------------- #
-    def _phi0(self, y):
-        t = _bdot(self.bnd.point(y) - self.x0[None, :], self.tau)
-        s = self.sp.field_norm
-        return s * (self.seed.lam * t + 0.5 * self.seed.tangential_hessian * t * t)
+    def _ray(self, y) -> _Ray:
+        """The ray at boundary parameter y, from one boundary evaluation.
 
-    def _dphi0(self, y):
-        xb1 = self.bnd.d1(y)
-        t = _bdot(self.bnd.point(y) - self.x0[None, :], self.tau)
-        tp = _bdot(xb1, self.tau)
+        xi = u x_b' + v n, where u fixes the trace phi_0(t(y)) and v is the
+        root of the eikonal quadratic nn v^2 + i Xn v + cc = 0 on the seed's
+        branch; xi' follows by implicit differentiation.
+        """
+        xb, xb1, xb2, n, n1 = self.bnd.at(y)
+        X = self.Xc[None, :]
         s = self.sp.field_norm
-        return s * (self.seed.lam + self.seed.tangential_hessian * t) * tp
-
-    def _d2phi0(self, y):
-        xb1, xb2 = self.bnd.d1(y), self.bnd.d2(y)
-        t = _bdot(self.bnd.point(y) - self.x0[None, :], self.tau)
+        lam, M = self.seed.lam, self.seed.tangential_hessian
+        t = _bdot(xb - self.x0[None, :], self.tau)
         tp = _bdot(xb1, self.tau)
         tpp = _bdot(xb2, self.tau)
-        s = self.sp.field_norm
-        M = self.seed.tangential_hessian
-        return s * (M * tp * tp + (self.seed.lam + M * t) * tpp)
-
-    def _quadratic_pieces(self, y):
-        xb1 = self.bnd.d1(y)
-        n = self.bnd.normal(y)
+        dphi0 = s * (lam + M * t) * tp
+        d2phi0 = s * (M * tp * tp + (lam + M * t) * tpp)
         gamma = _bdot(xb1, xb1)
         nn = _bdot(n, n)
-        Xn = _bdot(self.Xc[None, :], n)
-        Xt = _bdot(self.Xc[None, :], xb1)
-        u = self._dphi0(y) / gamma
+        Xn = _bdot(X, n)
+        Xt = _bdot(X, xb1)
+        u = dphi0 / gamma
         cc = u * u * gamma + 1j * u * Xt - self.z
         disc = -Xn * Xn - 4.0 * nn * cc
-        sq = self._branch * np.sqrt(disc)
-        v = (-1j * Xn + sq) / (2.0 * nn)
-        return u, v, n, xb1, sq, gamma, nn, Xn, Xt
-
-    def _xi_normal_component(self, y):
-        u, v, n, xb1, sq, *_ = self._quadratic_pieces(y)
-        return v
-
-    def _xi(self, y):
-        u, v, n, xb1, *_ = self._quadratic_pieces(y)
-        return u[:, None] * xb1 + v[:, None] * n
-
-    def _xi_prime(self, y):
-        # analytic derivative of xi(y) via implicit differentiation
-        u, v, n, xb1, sq, gamma, nn, Xn, Xt = self._quadratic_pieces(y)
-        xb2 = self.bnd.d2(y)
-        n1 = self.bnd.dnormal(y)
+        v = (-1j * Xn + self._branch * np.sqrt(disc)) / (2.0 * nn)
+        xi = u[:, None] * xb1 + v[:, None] * n
         gamma_p = 2.0 * _bdot(xb1, xb2)
         nn_p = 2.0 * _bdot(n, n1)
-        Xn_p = _bdot(self.Xc[None, :], n1)
-        Xt_p = _bdot(self.Xc[None, :], xb2)
-        up = (self._d2phi0(y) * gamma - self._dphi0(y) * gamma_p) / gamma ** 2
+        Xn_p = _bdot(X, n1)
+        Xt_p = _bdot(X, xb2)
+        up = (d2phi0 * gamma - dphi0 * gamma_p) / gamma ** 2
         cc_p = 2.0 * u * up * gamma + u * u * gamma_p + 1j * (up * Xt + u * Xt_p)
         # nn v^2 + i Xn v + cc = 0  =>  v' = -(nn' v^2 + i Xn' v + cc') / (2 nn v + i Xn)
         vp = -(nn_p * v * v + 1j * Xn_p * v + cc_p) / (2.0 * nn * v + 1j * Xn)
-        return (up[:, None] * xb1 + u[:, None] * xb2
-                + vp[:, None] * n + v[:, None] * n1)
+        xip = (up[:, None] * xb1 + u[:, None] * xb2
+               + vp[:, None] * n + v[:, None] * n1)
+        return _Ray(t, xb, xb1, v, xi, xip, 2.0 * xi + 1j * X)
 
     # -------------------------------------------------------------- #
     def _invert_chart(self, pts: np.ndarray):
-        """Newton solve of x_b(y) + t c(y) = x for (t, y), vectorized."""
+        """Newton solve of x_b(y) + t c(y) = x for (t, y), vectorized.
+
+        Each step makes one boundary evaluation and one ray evaluation at
+        the current y; the ray at the final y is returned with t, so no
+        caller evaluates it again.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float)).astype(complex)
         rel = pts - self.x0[None, :]
         y = rel @ self.tau                         # linearized start
         t = (rel @ self.frame.normal.astype(complex))
-        xi0 = self._xi(np.zeros(1, dtype=complex))[0]
-        c0 = 2.0 * xi0 + 1j * self.Xc
+        c0 = self._ray(np.zeros(1, dtype=complex)).c[0]
         denom = c0 @ self.frame.normal.astype(complex)
         t = t / denom
-        for _ in range(_CHART_NEWTON_STEPS):
-            xi = self._xi(y)
-            c = 2.0 * xi + 1j * self.Xc[None, :]
-            F = self.bnd.point(y) + t[:, None] * c - pts
+        for it in range(_CHART_NEWTON_STEPS + 1):
+            ray = self._ray(y)
+            c = ray.c
+            F = ray.xb + t[:, None] * c - pts
             err = np.max(np.abs(F), axis=1)
-            if np.all(err < 1e-13):
+            if it == _CHART_NEWTON_STEPS or np.all(err < 1e-13):
                 break
-            cp = 2.0 * self._xi_prime(y)
-            j12 = self.bnd.d1(y) + t[:, None] * cp
+            j12 = ray.xb1 + t[:, None] * (2.0 * ray.xip)
             det = c[:, 0] * j12[:, 1] - c[:, 1] * j12[:, 0]
             dt = (F[:, 0] * j12[:, 1] - F[:, 1] * j12[:, 0]) / det
             dy = (c[:, 0] * F[:, 1] - c[:, 1] * F[:, 0]) / det
@@ -853,10 +840,7 @@ class CharacteristicPhase:
             damp = np.where(step > 0.5, 0.5 / np.maximum(step, 1e-300), 1.0)
             t = t - damp * dt
             y = y - damp * dy
-        xi = self._xi(y)
-        c = 2.0 * xi + 1j * self.Xc[None, :]
-        F = self.bnd.point(y) + t[:, None] * c - pts
-        bad = np.max(np.abs(F), axis=1) > 1e-9
+        bad = err > 1e-9
         # Newton may converge to a non-local complex chart point; reject
         # solutions whose boundary angle or ray length leaves the collar
         angle = self.bnd.scale * y
@@ -866,20 +850,19 @@ class CharacteristicPhase:
             raise OutOfChartError(
                 f"chart inversion failed at {int(bad.sum())} points "
                 "(outside the characteristic collar)")
-        return t, y
+        return t, ray
 
     def phase_data(self, pts: np.ndarray, w: Optional[np.ndarray] = None):
         """phi, frame gradient, laplacian, and p_z(d phi) (identically ~0) at
         the ambient ``pts`` (the frame coordinates ``w`` are not needed)."""
-        t, y = self._invert_chart(pts)
-        xi = self._xi(y)
-        phi = self._phi0(y) + t * (2.0 * self.z - 1j * _bdot(self.Xc[None, :], xi))
-        nu = self.frame.normal.astype(complex)
-        tau = self.tau
-        grad = np.column_stack([xi @ nu, xi @ tau])
-        xip = self._xi_prime(y)
-        c = 2.0 * xi + 1j * self.Xc[None, :]
-        j12 = self.bnd.d1(y) + 2.0 * t[:, None] * xip
+        t, ray = self._invert_chart(pts)
+        xi, xip, c, tb = ray.xi, ray.xip, ray.c, ray.tb
+        s = self.sp.field_norm
+        phi0 = s * (self.seed.lam * tb + 0.5 * self.seed.tangential_hessian * tb * tb)
+        phi = phi0 + t * (2.0 * self.z - 1j * _bdot(self.Xc[None, :], xi))
+        grad = np.column_stack([xi @ self.frame.normal.astype(complex),
+                                xi @ self.tau])
+        j12 = ray.xb1 + 2.0 * t[:, None] * xip
         detJ = c[:, 0] * j12[:, 1] - c[:, 1] * j12[:, 0]
         lap = (c[:, 0] * xip[:, 1] - c[:, 1] * xip[:, 0]) / detJ
         pz = _bdot(xi, xi) + 1j * _bdot(self.Xc[None, :], xi) - self.z
@@ -887,12 +870,8 @@ class CharacteristicPhase:
 
     def transported_amplitude(self, pts: np.ndarray) -> np.ndarray:
         """Closed-form leading amplitude sqrt(det J(0) / det J(t)) along rays."""
-        t, y = self._invert_chart(pts)
-        xi = self._xi(y)
-        xip = self._xi_prime(y)
-        c = 2.0 * xi + 1j * self.Xc[None, :]
-        xb1 = self.bnd.d1(y)
+        t, ray = self._invert_chart(pts)
+        c, xb1, xip = ray.c, ray.xb1, ray.xip
         d0 = c[:, 0] * xb1[:, 1] - c[:, 1] * xb1[:, 0]
         d1 = 2.0 * (c[:, 0] * xip[:, 1] - c[:, 1] * xip[:, 0])
         return np.sqrt(d0 / (d0 + t * d1))
-

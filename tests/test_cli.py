@@ -33,7 +33,8 @@ def classify_config(outdir):
 INTERVAL = {"type": "interval", "a": 0.0, "b": 1.0}
 DISK = {"type": "disk", "center": [0.0, 0.0], "radius": 1.0}
 
-# one small config per experiment, and the SHA-256 prefix of each artifact
+# one small config per experiment, and the SHA-256 prefix of each
+# artifact; a row runs the experiment it is named after unless it names one
 FROZEN = {
     "classify": {"domain": {"type": "ellipse", "center": [0.1, -0.2],
                             "semi_axes": [1.2, 0.7], "angle": 0.4},
@@ -51,6 +52,10 @@ FROZEN = {
                  "params": {"h": 0.2, "k": 3}},
     "pseudomode": {"domain": INTERVAL, "field": {"X": [1.0]},
                    "params": {"z": [1.0, 0.5], "h": 0.05}},
+    # the disk's nearest-boundary-sample query in localization_profile
+    "pseudomode-disk": {"experiment": "pseudomode", "domain": DISK,
+                        "field": {"X": [1.0, 0.0]},
+                        "params": {"z": [1.0, 0.5], "h": 0.05, "dx": 0.05}},
     "exit-time": {"domain": INTERVAL, "field": {"X": [-0.8]},
                   "params": {"h": 0.05, "dt": 6.25e-4, "seed": 7,
                              "n_paths": 40, "x0": [0.1], "lambda": 0.1,
@@ -79,6 +84,10 @@ FROZEN_DIGESTS = {
                    "pseudomode.csv": "e1292ffe89dd30a3",
                    "pseudomode_summary.json": "8732b209af227790",
                    "radial_profile.csv": "322e3d2a5df3cbd5"},
+    "pseudomode-disk": {"arc_profile.csv": "2cf85b96ddc37bf6",
+                        "pseudomode.csv": "03ae1b542b13690b",
+                        "pseudomode_summary.json": "a149e3cea0693810",
+                        "radial_profile.csv": "ec7143265207e9d5"},
     "exit-time": {"estimate.json": "ffef0f927208d275",
                   "samples.csv": "e1a516c7b8874ef1",
                   "survival.csv": "8b35c0a3079a0a0d"},
@@ -313,17 +322,17 @@ class TestRunner:
                          for name in files})
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("experiment", sorted(FROZEN))
-    def test_frozen_artifact_digests(self, tmp_path, experiment):
+    @pytest.mark.parametrize("row", sorted(FROZEN))
+    def test_frozen_artifact_digests(self, tmp_path, row):
         """Every artifact of one small run per experiment, byte for byte;
         the configs leave most keys to their defaults."""
-        cfg = FROZEN[experiment] | {"experiment": experiment,
-                                    "output_dir": str(tmp_path / "out")}
+        cfg = {"experiment": row} | FROZEN[row] \
+            | {"output_dir": str(tmp_path / "out")}
         assert run(str(write_config(tmp_path, cfg))) == 0
         files = json.loads((tmp_path / "out" / "manifest.json")
                            .read_text())["files"]
         assert {name: h[:16] for name, h in files.items()} \
-            == FROZEN_DIGESTS[experiment]
+            == FROZEN_DIGESTS[row]
 
     def test_compute_failure_writes_nothing(self, tmp_path, capsys):
         # validate() cannot see the disk grid's dimension; assembly can

@@ -474,14 +474,28 @@ class TestBitIdentity:
         ("jet", "769768419e959613"), ("characteristic", "b7f9e73d0f4411d4")],
         ids=["jet", "characteristic"])
     def test_fields_pointwise(self, backend, want):
-        # u and P_z u at 50 interior points, all inside the cutoff support
-        # and 25 of them in the collar; frozen from the separate u and
-        # P_z u passes that fields() replaced
-        rng = np.random.default_rng(11)
-        r = rng.uniform(0.7, 0.995, 50)
-        th = rng.uniform(-0.45, 0.45, 50)
-        pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
-        assert _digest(_config_quasimode(backend).fields(pts)) == want
+        # u and P_z u; frozen from the separate u and P_z u passes that
+        # fields() replaced
+        assert _digest(_config_quasimode(backend).fields(_points_50())) == want
+
+    @pytest.mark.parametrize("root, want_phase, want_amp", [
+        (1, "0a096d0e677b3ef9", "8719303611caa9bf"),
+        (2, "ba64515dd8c52322", "81ad551cd2c7d49b")], ids=["root1", "root2"])
+    def test_characteristic_phase_pointwise(self, root, want_phase, want_amp):
+        # phi, grad, lap, p_z and the closed-form amplitude; frozen from the
+        # chart inversion that evaluated the boundary once per accessor
+        ph = _config_quasimode("characteristic").phases[root - 1]
+        assert _digest(ph.phase_data(_points_50())) == want_phase
+        assert _digest([ph.transported_amplitude(_points_50())]) == want_amp
+
+
+def _points_50():
+    """50 interior points, all inside the cutoff support of the config
+    quasimode and 25 of them in the collar."""
+    rng = np.random.default_rng(11)
+    r = rng.uniform(0.7, 0.995, 50)
+    th = rng.uniform(-0.45, 0.45, 50)
+    return np.column_stack([r * np.cos(th), r * np.sin(th)])
 
 
 def _config_quasimode(backend):
