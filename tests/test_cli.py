@@ -44,6 +44,23 @@ FROZEN = {
     "quasimode": {"domain": DISK, "field": {"X": [1.0, 0.0]},
                   "params": {"z": [1.0, 0.5], "h": 0.05, "x0": [1.0, 0.0],
                              "grid": {"nx": 12, "ny": 10}}},
+    # the d = 1 frame maps and residual quadrature
+    "quasimode-interval": {"experiment": "quasimode", "domain": INTERVAL,
+                           "field": {"X": [1.0]},
+                           "params": {"z": [1.0, 0.5], "h": 0.05, "x0": [1.0],
+                                      "grid": {"nx": 12}}},
+    # oblique incidence: the frame tangent is e1', not the CCW fallback
+    "quasimode-oblique": {"experiment": "quasimode", "domain": DISK,
+                          "field": {"X": [1.0, 0.0]},
+                          "params": {"z": [1.0, 0.5], "h": 0.05,
+                                     "x0": [math.cos(0.5), math.sin(0.5)],
+                                     "grid": {"nx": 12, "ny": 10}}},
+    "quasimode-characteristic": {"experiment": "quasimode", "domain": DISK,
+                                 "field": {"X": [1.0, 0.0]},
+                                 "params": {"z": [1.0, 0.5], "h": 0.05,
+                                            "x0": [1.0, 0.0],
+                                            "grid": {"nx": 12, "ny": 10},
+                                            "backend": "characteristic"}},
     "pseudospectrum": {"domain": INTERVAL, "field": {"X": [1.0]},
                        "params": {"h_list": [0.05, 0.1],
                                   "rect": [-0.5, 1.5, -1.0, 1.0],
@@ -73,6 +90,12 @@ FROZEN_DIGESTS = {
              "tight_arcs.csv": "8e08764d13dd7981"},
     "quasimode": {"quasimode_grid.csv": "527c3650f40b0132",
                   "quasimode_manifest.json": "0c3043fcf9c7c51d"},
+    "quasimode-interval": {"quasimode_grid.csv": "0b7f36a29ef9238d",
+                           "quasimode_manifest.json": "5630240893ebc9b8"},
+    "quasimode-oblique": {"quasimode_grid.csv": "ffe5c58f456a884d",
+                          "quasimode_manifest.json": "88cfca8ff92fe6f7"},
+    "quasimode-characteristic": {"quasimode_grid.csv": "e2d786a1784d945d",
+                                 "quasimode_manifest.json": "b924f46496487bb6"},
     "pseudospectrum": {"heatmap_h0.05.svg": "729c0fd13e572770",
                        "heatmap_h0.1.svg": "9a79ae4d67518773",
                        "pseudospectrum_h0.05.csv": "3356a2a20b0c89f1",
