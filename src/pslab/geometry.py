@@ -471,18 +471,53 @@ class BoundarySample:
 
 @dataclass
 class BoundaryFrame:
+    """Local frame at the boundary point x0.
+
+    The axes are the outward normal and, in 2-D, the tangent: the unit
+    tangential part e1' of X when X is oblique, else the counterclockwise
+    tangent.  Frame coordinates v are components along the axes, so v1 < 0
+    is interior.  The maps loop over the axes, because a single product with
+    the stacked axes rounds differently.
+    """
     x0: np.ndarray
     normal: np.ndarray
     tangent: Optional[np.ndarray]
     nu1: float
     x_prime: float
-    e1_prime: Optional[np.ndarray]
     t: float
     curvature: float = 0.0
 
     @property
     def dimension(self) -> int:
         return self.x0.shape[0] if self.x0.ndim else 1
+
+    @property
+    def axes(self) -> tuple:
+        return (self.normal,) if self.tangent is None else (self.normal, self.tangent)
+
+    def coords(self, pts) -> np.ndarray:
+        """Frame coordinates of ambient points, one row per point."""
+        rel = np.atleast_2d(np.asarray(pts, dtype=float)) - self.x0[None, :]
+        return np.column_stack([rel @ e for e in self.axes])
+
+    def ambient(self, w) -> np.ndarray:
+        """Ambient points at frame coordinates ``w``, one row per point."""
+        return self._span(self.x0[None, :], np.atleast_2d(w).T)
+
+    def covector(self, xi) -> np.ndarray:
+        """Ambient covector with frame components ``xi``."""
+        return self._span(None, xi)
+
+    def components(self, X) -> np.ndarray:
+        """Frame components of the ambient vector X."""
+        return np.array([float(np.dot(X, e)) for e in self.axes])
+
+    def _span(self, acc, coeffs):
+        """acc plus the sum over axes k of coeffs[k] (outer) axis k."""
+        for c, e in zip(coeffs, self.axes):
+            term = np.multiply.outer(c, e)
+            acc = term if acc is None else acc + term
+        return acc
 
 
 def _classify_value(xdotnu: float, tol: float) -> str:
@@ -523,7 +558,7 @@ def classify_boundary(domain, field_like, n: int, tol: float = GLANCING_TOL):
 
 
 def boundary_frame(domain, field_like, x0) -> BoundaryFrame:
-    """Local frame at a boundary point: normal, tangent, nu1, X', e1'."""
+    """Local frame at a boundary point: normal, tangent, nu1 and X'."""
     field = _as_field(field_like)
     xhat = field.unit()
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -537,7 +572,7 @@ def boundary_frame(domain, field_like, x0) -> BoundaryFrame:
         else:
             raise GeometryError(f"{x0[0]} is not an endpoint of {domain}")
         nu1 = float(xhat[0] * nu)
-        return BoundaryFrame(x0, np.array([nu]), None, nu1, 0.0, None, t)
+        return BoundaryFrame(x0, np.array([nu]), None, nu1, 0.0, t)
 
     t = domain.boundary_parameter(x0)
     p = domain.boundary_points([t])[0]
@@ -549,14 +584,12 @@ def boundary_frame(domain, field_like, x0) -> BoundaryFrame:
     xp2 = max(0.0, 1.0 - nu1 * nu1)
     x_prime = float(np.sqrt(xp2))
     if x_prime > 1e-12:
-        e1p = (xhat - nu1 * nu) / x_prime
-        tangent = e1p
+        tangent = (xhat - nu1 * nu) / x_prime
     else:
-        e1p = None
         tangent = np.array([-nu[1], nu[0]])  # CCW tangent fallback
     kappa = float(domain.boundary_curvature([t])[0])
     return BoundaryFrame(np.asarray(x0, dtype=float), nu, tangent, nu1,
-                         x_prime, e1p, t, curvature=kappa)
+                         x_prime, t, curvature=kappa)
 
 
 # ===================================================================== #

@@ -36,7 +36,7 @@ so no numerical differentiation enters the residual path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -109,16 +109,11 @@ class PhaseSeed:
         """d phi(x0) in frame coordinates (normal, tangential), field-scaled."""
         s = self.sp.field_norm
         xi_n = s * (self.alpha[root - 1] + 1j * self.beta[root - 1])
-        if self.frame.dimension == 1:
-            return np.array([xi_n])
-        return np.array([xi_n, s * self.lam])
+        return np.array([xi_n, s * self.lam])[:self.frame.dimension]
 
     def covector(self, root: int) -> np.ndarray:
         """d phi(x0) as an ambient complex covector."""
-        w = self.covector_frame(root)
-        if self.frame.dimension == 1:
-            return w * self.frame.normal
-        return w[0] * self.frame.normal + w[1] * self.frame.tangent
+        return self.frame.covector(self.covector_frame(root))
 
     def seed_residual(self, root: int) -> float:
         """|p_z(covector)| for the unscaled operator; ~1e-16 by construction."""
@@ -202,51 +197,22 @@ def phase_seed(frame: BoundaryFrame, sp: SpectralPoint,
 
 @dataclass
 class PhaseJet:
+    """A phase jet with its gradient, Laplacian and exact eikonal residual."""
     jet: Jet
-    order: int
     root: int
     seed: PhaseSeed
     boundary_graph: Jet
-    X_frame: np.ndarray          # field in frame coordinates
-    z: complex
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.jet.dim
-
-    def gradient(self) -> list[Jet]:
-        if "grad" not in self._cache:
-            self._cache["grad"] = [self.jet.diff(ax) for ax in range(self.dim)]
-        return self._cache["grad"]
-
-    def laplacian(self) -> Jet:
-        if "lap" not in self._cache:
-            self._cache["lap"] = sum(
-                (self.jet.diff(ax).diff(ax) for ax in range(self.dim)),
-                Jet.zero(self.order, self.dim))
-        return self._cache["lap"]
-
-    def eikonal_residual_jet(self) -> Jet:
-        """Exact p_z(d phi) without truncation (degree up to 2*order-2)."""
-        if "eik" not in self._cache:
-            lifted = Jet(self.jet.coeffs, 2 * self.order, self.dim)
-            self._cache["eik"] = _eikonal_value(lifted, self.X_frame, self.z)
-        return self._cache["eik"]
+    grad: list[Jet]
+    lap: Jet
+    eik: Jet                     # exact p_z(d phi), degree up to 2*order-2
 
     def phase_data(self, pts: np.ndarray, w: np.ndarray):
         """phi, frame gradient, laplacian and exact p_z(d phi) at frame
         coordinates ``w`` (the ambient ``pts`` are not needed)."""
         args = w.T
-        grad = np.stack([g.eval(*args) for g in self.gradient()], axis=1)
-        return (self.jet.eval(*args), grad, self.laplacian().eval(*args),
-                self.eikonal_residual_jet().eval(*args))
-
-
-@dataclass
-class AmplitudeJet:
-    jet: Jet
-    n: int
+        grad = np.stack([g.eval(*args) for g in self.grad], axis=1)
+        return (self.jet.eval(*args), grad, self.lap.eval(*args),
+                self.eik.eval(*args))
 
 
 def _phi0_coeffs(seed: PhaseSeed, order: int) -> np.ndarray:
@@ -265,36 +231,30 @@ def solve_eikonal_jet(seed: PhaseSeed, boundary_graph: Jet, order: int
     """Jets of both phases with eikonal coefficients zero through degree order-1."""
     if order < 2:
         raise ValueError("jet order must be at least 2")
-    frame = seed.frame
-    d = frame.dimension
-    s = seed.sp.field_norm
+    d = seed.frame.dimension
     z = seed.sp.z
-    if d == 1:
-        X_frame = np.array([float(np.dot(seed.sp.X, frame.normal))])
-    else:
-        X_frame = np.array([float(np.dot(seed.sp.X, frame.normal)),
-                            float(np.dot(seed.sp.X, frame.tangent))])
+    X_frame = seed.frame.components(seed.sp.X)
 
     out = []
     for root in (1, 2):
         xi = seed.covector_frame(root)
-        A = 2.0 * xi[0] + 1j * X_frame[0]
-        if abs(A) < 1e-12:
+        lead = [2.0 * x + 1j * X for x, X in zip(xi, X_frame)]
+        if abs(lead[0]) < 1e-12:
             raise ExceptionalPointError("normal transport coefficient vanishes")
-        B = 2.0 * xi[1] + 1j * X_frame[1] if d == 2 else 0.0
         phi = Jet.zero(order, d)
-        phi.coeffs[(1, 0)[:d]] = xi[0]
-        if d == 2:
-            phi.coeffs[0, 1] = xi[1]
-        _solve_slabs(phi, lambda p: _eikonal_value(p, X_frame, z), A, B,
+        for ax, unit in enumerate(np.eye(d, dtype=int)):
+            phi.coeffs[tuple(unit)] = xi[ax]
+        _solve_slabs(phi, lambda p: _eikonal_value(p, X_frame, z), lead,
                      _phi0_coeffs(seed, order), boundary_graph, first=1)
-        pj = PhaseJet(phi, order, root, seed, boundary_graph, X_frame, z)
-        res = pj.eikonal_residual_jet().max_coeff_through(order - 1)
+        eik = _eikonal_value(Jet(phi.coeffs, 2 * order, d), X_frame, z)
+        res = eik.max_coeff_through(order - 1)
         if res > 1e-10 * max(1.0, abs(z)):
             raise ExceptionalPointError(
                 f"eikonal recursion singular (residual {res:.2e}); z is at or "
                 "near the excluded value <X,nu>^2/4")
-        out.append(pj)
+        grad = [phi.diff(ax) for ax in range(d)]
+        lap = sum((g.diff(ax) for ax, g in enumerate(grad)), Jet.zero(order, d))
+        out.append(PhaseJet(phi, root, seed, boundary_graph, grad, lap, eik))
     return out[0], out[1]
 
 
@@ -307,17 +267,18 @@ def _eikonal_value(phi: Jet, X_frame, z) -> Jet:
     return acc
 
 
-def _solve_slabs(jet: Jet, value, A, B, trace, graph: Jet, first: int) -> Jet:
+def _solve_slabs(jet: Jet, value, lead, trace, graph: Jet, first: int) -> Jet:
     """Fill the homogeneous slabs first+1..order of ``jet`` in place.
 
     Slab s is chosen so that the degree s-1 part of value(jet) vanishes;
-    there value(jet) depends on slab s through A times the normal and B
-    times the tangential derivative.  In d = 2 the pure-tangential
+    there value(jet) depends on slab s through lead = (A, B) times its
+    (normal, tangential) derivative.  In d = 2 the pure-tangential
     coefficient is pinned first, so that the restriction of the jet to the
     boundary graph v1 = graph(t) has Taylor coefficient trace[s]; the
     normal chain of the slab is then back-substituted.
     """
     c = jet.coeffs
+    A = lead[0]
     for s in range(first + 1, jet.order + 1):
         if jet.dim == 1:
             c[s] = -value(jet).coeffs[s - 1] / (A * s)
@@ -329,26 +290,26 @@ def _solve_slabs(jet: Jet, value, A, B, trace, graph: Jet, first: int) -> Jet:
             n = s - 1 - m
             val = e[m, n]
             if m >= 1:
-                val = val + B * (n + 1) * c[m, n + 1]
+                val = val + lead[1] * (n + 1) * c[m, n + 1]
             c[m + 1, n] = -val / (A * (m + 1))
     return jet
 
 
-def solve_transport_jet(phase: PhaseJet, n_max: int, order: int
-                        ) -> list[AmplitudeJet]:
+def solve_transport_jet(phase: PhaseJet, n_max: int, order: int) -> list[Jet]:
     """Amplitude jets psi_0..psi_{n_max}; residual vanishes through degree order-2."""
-    d = phase.dim
+    d = phase.jet.dim
     amp_order = order - 1
-    xi = phase.seed.covector_frame(phase.root)
-    A = -2j * xi[0] + phase.X_frame[0]
-    if abs(A) < 1e-12:
+    seed = phase.seed
+    X_frame = seed.frame.components(seed.sp.X)
+    xi = seed.covector_frame(phase.root)
+    lead = [-2j * x + X for x, X in zip(xi, X_frame)]
+    if abs(lead[0]) < 1e-12:
         raise ExceptionalPointError("transport coefficient vanishes")
-    B = (-2j * xi[1] + phase.X_frame[1]) if d == 2 else 0.0
 
-    grad_phi = phase.gradient()
-    lap_phi = phase.laplacian()
+    grad_phi = phase.grad
+    lap_phi = phase.lap
     zero_trace = np.zeros(amp_order + 1, dtype=complex)
-    amps: list[AmplitudeJet] = []
+    amps: list[Jet] = []
     prev: Optional[Jet] = None
     for n in range(n_max + 1):
         rhs = Jet.zero(amp_order, d) if prev is None else sum(
@@ -358,13 +319,13 @@ def solve_transport_jet(phase: PhaseJet, n_max: int, order: int
             acc = (-1j) * lap_phi.mul(psi, amp_order)
             for ax in range(d):
                 acc = acc + (-2j) * grad_phi[ax].mul(psi.diff(ax), amp_order) \
-                    + phase.X_frame[ax] * psi.diff(ax)
+                    + X_frame[ax] * psi.diff(ax)
             return acc - Jet(rhs.coeffs, amp_order, d)
 
         psi = Jet.constant(1.0 if n == 0 else 0.0, amp_order, d)
-        _solve_slabs(psi, transport_value, A, B, zero_trace,
+        _solve_slabs(psi, transport_value, lead, zero_trace,
                      phase.boundary_graph, first=0)
-        amps.append(AmplitudeJet(psi, n))
+        amps.append(psi)
         prev = psi
     return amps
 
@@ -384,30 +345,18 @@ class Cutoff:
         if not 0 < self.r_inner < self.r_outer:
             raise ValueError("need 0 < r_inner < r_outer")
 
-    def _s(self, r):
-        return (r - self.r_inner) / (self.r_outer - self.r_inner)
-
-    def value(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        s = np.clip(self._s(r), 0.0, 1.0)
-        out = np.zeros_like(s)
-        out[s <= 0.0] = 1.0
-        mid = (s > 0.0) & (s < 1.0)
-        sm = s[mid]
-        out[mid] = np.exp(1.0 - 1.0 / (1.0 - sm ** 2))
-        return out
-
     def derivatives(self, r: np.ndarray):
         """chi, chi', chi'' with respect to r."""
         r = np.asarray(r, dtype=float)
         dr = self.r_outer - self.r_inner
-        s = self._s(r)
-        chi = self.value(r)
+        s = (r - self.r_inner) / dr
+        chi = np.where(s <= 0.0, 1.0, 0.0)
         d1 = np.zeros_like(chi)
         d2 = np.zeros_like(chi)
         mid = (s > 0.0) & (s < 1.0)
         sm = s[mid]
         om = 1.0 - sm ** 2
+        chi[mid] = np.exp(1.0 - 1.0 / om)
         fp = -2.0 * sm / om ** 2
         fpp = -(2.0 + 6.0 * sm ** 2) / om ** 3
         d1[mid] = chi[mid] * fp / dr
@@ -424,25 +373,15 @@ class Quasimode:
     sp: SpectralPoint
     frame: BoundaryFrame
     phases: tuple                      # (PhaseJet|CharacteristicPhase, ...)
-    amplitudes: tuple                  # matching tuple of lists of AmplitudeJet
+    amplitudes: tuple                  # per phase, the jets psi_0..psi_{n_max}
     cutoff: Cutoff
     boundary_graph: Jet
-    X_frame: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.frame.dimension
 
     # -------------------------------------------------------------- #
-    def frame_coords(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        rel = pts - self.frame.x0[None, :]
-        if self.dim == 1:
-            return rel * self.frame.normal[None, :]
-        v1 = rel @ self.frame.normal
-        v2 = rel @ self.frame.tangent
-        return np.column_stack([v1, v2])
-
     def _amp_data(self, i: int, w: np.ndarray):
         """a = sum h^n psi_n and its frame gradient / laplacian at the points."""
         h = self.sp.h
@@ -450,12 +389,12 @@ class Quasimode:
         a = np.zeros(w.shape[0], dtype=complex)
         ga = np.zeros((w.shape[0], self.dim), dtype=complex)
         la = np.zeros(w.shape[0], dtype=complex)
-        for amp in self.amplitudes[i]:
-            hn = h ** amp.n
-            a += hn * amp.jet.eval(*args)
+        for n, psi in enumerate(self.amplitudes[i]):
+            hn = h ** n
+            a += hn * psi.eval(*args)
             for ax in range(self.dim):
-                ga[:, ax] += hn * amp.jet.diff(ax).eval(*args)
-            la += hn * sum(amp.jet.diff(ax).diff(ax).eval(*args)
+                ga[:, ax] += hn * psi.diff(ax).eval(*args)
+            la += hn * sum(psi.diff(ax).diff(ax).eval(*args)
                            for ax in range(self.dim))
         return a, ga, la
 
@@ -467,7 +406,8 @@ class Quasimode:
         """u and (P - z) u at ``pts``, the latter by the exact
         differentiation identity, from one phase and amplitude pass."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        w = self.frame_coords(pts)
+        w = self.frame.coords(pts)
+        X_frame = self.frame.components(self.sp.X)
         r = np.linalg.norm(w, axis=1)
         chi, dchi, ddchi = self.cutoff.derivatives(r)
         u = np.zeros(pts.shape[0], dtype=complex)
@@ -490,74 +430,43 @@ class Quasimode:
             transport = np.zeros_like(a)
             for ax in range(self.dim):
                 transport += (-2j * gphi[:, ax] * ga[:, ax]
-                              + self.X_frame[ax] * ga[:, ax])
+                              + X_frame[ax] * ga[:, ax])
             transport += -1j * lphi * a
             interior = a * eik + h * transport - h * h * la
             grad_v = ga + a[:, None] * (1j / h) * gphi
             comm = (-h * h * (lap_chi * a + 2 * np.einsum("pk,pk->p", grad_chi, grad_v))
-                    + h * np.einsum("k,pk->p", self.X_frame, grad_chi) * a)
+                    + h * np.einsum("k,pk->p", X_frame, grad_chi) * a)
             acc += sign * (chi[live] * interior + comm) * expf
         u[live] = chi[live] * total
         pz_u[live] = acc
         return u, pz_u
 
-    def ambient(self, w: np.ndarray) -> np.ndarray:
-        return _ambient(self.frame, w)
 
-
-def _ambient(frame: BoundaryFrame, w: np.ndarray) -> np.ndarray:
-    """Map frame coordinates back to ambient points."""
-    w = np.atleast_2d(w)
-    if frame.dimension == 1:
-        return frame.x0[None, :] + w * frame.normal[None, :]
-    return (frame.x0[None, :]
-            + np.outer(w[:, 0], frame.normal)
-            + np.outer(w[:, 1], frame.tangent))
-
-
-def collar_check(phases, boundary_graph, cutoff: Cutoff, dim: int) -> bool:
+def collar_check(phases, cutoff: Cutoff) -> bool:
     """Im(phi_i) > 0 on the boundary part of the cutoff collar, both phases."""
-    if dim == 1:
+    frame = phases[0].seed.frame
+    if frame.dimension == 1:
         return True      # the boundary near x0 is the single point x0
     ts = np.linspace(-cutoff.r_outer, cutoff.r_outer, _COLLAR_SAMPLES)
-    g = boundary_graph.eval(ts).real
+    g = phases[0].boundary_graph.eval(ts).real
     r = np.hypot(g, ts)
     sel = (r >= cutoff.r_inner) & (r <= cutoff.r_outer)
     if not np.any(sel):
         return True
     w = np.column_stack([g[sel], ts[sel]])
-    pts = _ambient(phases[0].seed.frame, w)
+    pts = frame.ambient(w)
     return not any(np.any(ph.phase_data(pts, w)[0].imag <= 0.0) for ph in phases)
-
-
-def assemble_quasimode(phases, amplitudes, sp: SpectralPoint,
-                       radii: Optional[tuple], diameter: float) -> Quasimode:
-    """Attach the cutoff (default radii 0.15 and 0.3 domain diameters),
-    shrinking it until Im(phase) is positive on the collar."""
-    first = phases[0]
-    frame = first.seed.frame
-    graph = first.boundary_graph
-    if radii is None:
-        radii = (0.15 * diameter, 0.30 * diameter)
-    r_in, r_out = radii
-    cut = Cutoff(r_in, r_out)
-    dim = frame.dimension
-    while not collar_check(phases, graph, cut, dim):
-        r_in *= 0.75
-        r_out *= 0.75
-        if r_out < 1e-3 * diameter:
-            raise CutoffError("collar check failed down to negligible radii")
-        cut = Cutoff(r_in, r_out)
-    X_frame = first.X_frame
-    return Quasimode(sp, frame, tuple(phases), tuple(amplitudes), cut, graph,
-                     X_frame)
 
 
 def build_quasimode(domain, field_like, x0, z: complex, h: float,
                     order: int = 4, n_max: int = 0, a_param: float = 0.5,
                     eps: float = 1.0, radii: Optional[tuple] = None,
                     backend: str = "jet") -> Quasimode:
-    """One-stop construction used by the CLI and the test fixtures."""
+    """One-stop construction used by the CLI and the test fixtures.
+
+    The cutoff radii default to 0.15 and 0.3 domain diameters and shrink
+    until Im(phase) is positive on the collar.
+    """
     from .geometry import _as_field
     fieldspec = _as_field(field_like)
     sp = SpectralPoint(z, h, fieldspec.X)
@@ -574,7 +483,16 @@ def build_quasimode(domain, field_like, x0, z: complex, h: float,
         raise ValueError(f"unknown backend '{backend}'")
     amps = (solve_transport_jet(p1, n_max, order),
             solve_transport_jet(p2, n_max, order))
-    return assemble_quasimode(phases, amps, sp, radii, domain.diameter())
+    diameter = domain.diameter()
+    r_in, r_out = (0.15 * diameter, 0.30 * diameter) if radii is None else radii
+    cut = Cutoff(r_in, r_out)
+    while not collar_check(phases, cut):
+        r_in *= 0.75
+        r_out *= 0.75
+        if r_out < 1e-3 * diameter:
+            raise CutoffError("collar check failed down to negligible radii")
+        cut = Cutoff(r_in, r_out)
+    return Quasimode(sp, frame, phases, amps, cut, phases[0].boundary_graph)
 
 
 # ===================================================================== #
@@ -644,12 +562,12 @@ def _residual_norms(q: Quasimode, n_per_scale: int) -> tuple[float, float]:
     h = q.sp.h
     cut = q.cutoff
     ts = np.linspace(-cut.r_outer, cut.r_outer, 101)
-    gmax = float(np.max(np.abs(q.boundary_graph.eval(ts).real))) if q.dim == 2 else 0.0
+    gmax = float(np.max(np.abs(q.boundary_graph.eval(ts).real)))
     depth = cut.r_outer + gmax + 1e-9
     w1, wt1 = _gauss_on_panels(_panel_edges(h, depth), n_per_scale)
     w1 = -w1                       # interior side of the straightened boundary
     if q.dim == 1:
-        pts = q.ambient(w1[:, None])
+        pts = q.frame.ambient(w1[:, None])
         wts = wt1
     else:
         w2_half, wt2_half = _gauss_on_panels(
@@ -660,7 +578,7 @@ def _residual_norms(q: Quasimode, n_per_scale: int) -> tuple[float, float]:
         W1, W2 = np.meshgrid(w1, w2, indexing="ij")
         g = q.boundary_graph.eval(W2.ravel()).real
         v1 = W1.ravel() + g            # shear back to frame coordinates
-        pts = q.ambient(np.column_stack([v1, W2.ravel()]))
+        pts = q.frame.ambient(np.column_stack([v1, W2.ravel()]))
         wts = np.outer(wt1, wt2).ravel()
     u, pu = q.fields(pts)
     nu = float(np.sqrt(np.sum(wts * np.abs(u) ** 2)))
@@ -757,8 +675,6 @@ class CharacteristicPhase:
         self.boundary_graph = boundary_graph_jet(domain, frame, 8)
         if frame.dimension != 2:
             raise GeometryError("characteristic backend is two-dimensional only")
-        self.X_frame = np.array([float(np.dot(seed.sp.X, frame.normal)),
-                                 float(np.dot(seed.sp.X, frame.tangent))])
         # choose the square-root branch matching the seed at y = 0
         y0 = np.array([0.0 + 0.0j])
         self._branch = 1.0

@@ -313,7 +313,7 @@ def test_criterion_8b_jet_order_slopes():
     slopes = {}
     for K in (3, 4, 5):
         pj, _ = solve_eikonal_jet(seed, boundary_graph_jet(DISK, fr, K), K)
-        eik = pj.eikonal_residual_jet()
+        eik = pj.eik
         radii = np.logspace(-1, -3, 9)
         vals = []
         for r in radii:

@@ -145,15 +145,19 @@ class TestBoundaryFrame:
         fr = boundary_frame(Disk((0, 0), 1.0), E1, [1.0, 0.0])
         assert fr.nu1 == pytest.approx(1.0)
         assert fr.x_prime == pytest.approx(0.0, abs=1e-12)
-        assert fr.e1_prime is None
+        # X has no tangential part: the tangent is the counterclockwise one
+        assert np.array_equal(fr.tangent, [-fr.normal[1], fr.normal[0]])
 
     def test_45_degree_incidence(self):
         x0 = np.array([1, 1]) / np.sqrt(2)
         fr = boundary_frame(Disk((0, 0), 1.0), E1, x0)
         assert fr.nu1 == pytest.approx(1 / np.sqrt(2))
         assert fr.x_prime == pytest.approx(1 / np.sqrt(2))
-        assert abs(np.dot(fr.e1_prime, fr.normal)) < 1e-12
-        assert np.linalg.norm(fr.e1_prime) == pytest.approx(1.0)
+        # the tangent is e1' = (X/|X| - nu1 nu) / X', a unit vector along
+        # the tangential part of X
+        assert abs(np.dot(fr.tangent, fr.normal)) < 1e-12
+        assert np.linalg.norm(fr.tangent) == pytest.approx(1.0)
+        assert np.allclose(fr.tangent, (E1 - fr.nu1 * fr.normal) / fr.x_prime)
 
     def test_ellipse_axis_point(self):
         # derived oracle: the implicit-function normal at (2, 0) of
