@@ -573,12 +573,13 @@ def _check_exit_time(domain, field, p):
     _need(np.max(domain.signed_distance(np.array([p["x0"]]))) < 0,
           "params.x0", "x0 must lie inside the domain")
     if isinstance(domain, (Interval, Disk)):
+        from .sde import SUBCRITICAL_FRACTION
         # principal eigenvalue of the generator's conjugated form
         lam1 = conjugated_spectrum_oracle(domain, p["h"],
                                           -np.asarray(p["b"]), 1)[0]
-        _need(p["lambda"] <= 0.9 * lam1, "params.lambda",
-              f"lambda must not exceed 0.9 times the principal eigenvalue "
-              f"{lam1:.6g}: the MGF may be infinite")
+        _need(p["lambda"] <= SUBCRITICAL_FRACTION * lam1, "params.lambda",
+              f"lambda must not exceed {SUBCRITICAL_FRACTION:g} times the "
+              f"principal eigenvalue {lam1:.6g}: the MGF may be infinite")
     _need(p["survival_s"] is None or p["lambda"] > 0, "params.lambda",
           "survival thresholds s / lambda need lambda > 0")
 

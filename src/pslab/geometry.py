@@ -279,7 +279,7 @@ class Polygon:
             raise InvalidDomainError("polygon needs >= 3 planar vertices")
         if _polygon_area(v) <= 0:
             raise InvalidDomainError("polygon must be counterclockwise")
-        if v.shape[0] <= 2048 and _polyline_self_intersects(v):
+        if _polyline_self_intersects(v):
             raise InvalidDomainError("polygon is not simple")
         self.vertices = v
         e = np.roll(v, -1, axis=0) - v

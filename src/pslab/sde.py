@@ -39,6 +39,9 @@ _CHUNK = 256          # normals pre-drawn per path (the pair; the ensemble's flo
 _BATCH = 16384        # paths simulated together
 _BLOCK = 65536        # path-steps per constant-drift sub-block; bounds scratch
 _WILSON_Z = 1.959963984540054   # two-sided 95% normal quantile
+# the MGF is finite below the principal eigenvalue lambda_1; lambda may reach
+# this fraction of it
+SUBCRITICAL_FRACTION = 0.9
 
 
 @dataclass
@@ -195,8 +198,8 @@ class _Level:
 
 
 def _simulate(domain, b, h: float, x0, seed: int, n_paths: int, t_max: float,
-              levels: Sequence[tuple[float, int, int]], chunk: int,
-              batch_size: int) -> list[ExitEnsemble]:
+              levels: Sequence[tuple[float, int, int]], chunk: int
+              ) -> list[ExitEnsemble]:
     """One ensemble per level (dt, stride, n_steps), all on the same draws."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = x0.shape[0]
@@ -213,9 +216,8 @@ def _simulate(domain, b, h: float, x0, seed: int, n_paths: int, t_max: float,
             ens.tau[:] = 0.0
         return out
     n_draws = max(stride * n for _, stride, n in levels)
-    batch_size = min(batch_size, _BATCH)    # bounds the draw buffer's rows
-    for lo in range(0, n_paths, batch_size):
-        hi = min(lo + batch_size, n_paths)
+    for lo in range(0, n_paths, _BATCH):
+        hi = min(lo + _BATCH, n_paths)
         gens = _path_generators(seed, lo, hi)
         run = [_Level(ens, lo, hi, domain, b, start_sd, stride, n)
                for ens, (_, stride, n) in zip(out, levels)]
@@ -236,12 +238,11 @@ def _simulate(domain, b, h: float, x0, seed: int, n_paths: int, t_max: float,
 
 
 def simulate_exit_ensemble(domain, b, h: float, x0, dt: float, seed: int,
-                           n_paths: int, t_max: float,
-                           batch_size: int = _BATCH) -> ExitEnsemble:
+                           n_paths: int, t_max: float) -> ExitEnsemble:
     """Euler-Maruyama first-exit ensemble; deterministic in (seed, dt, x0).
 
     A start on the boundary exits at tau = 0; a start outside the domain
-    raises GeometryError.  Paths run min(batch_size, _BATCH) at a time.
+    raises GeometryError.  Paths run _BATCH at a time.
     """
     max_steps = int(math.ceil(t_max / dt))
     # larger draw blocks only amortize generator calls: the per-path normal
@@ -249,7 +250,7 @@ def simulate_exit_ensemble(domain, b, h: float, x0, dt: float, seed: int,
     chunk = int(np.clip(2 ** int(np.ceil(np.log2(max(max_steps // 8, 1)))),
                         _CHUNK, 1024))
     return _simulate(domain, b, h, x0, seed, n_paths, t_max,
-                     [(dt, 1, max_steps)], chunk, batch_size)[0]
+                     [(dt, 1, max_steps)], chunk)[0]
 
 
 def simulate_exit_refinement_pair(domain, b, h: float, x0, dt: float,
@@ -264,7 +265,7 @@ def simulate_exit_refinement_pair(domain, b, h: float, x0, dt: float,
     max_fine = int(math.ceil(t_max / (0.5 * dt)))
     coarse, fine = _simulate(domain, b, h, x0, seed, n_paths, t_max,
                              [(dt, 2, max_fine // 2), (0.5 * dt, 1, max_fine)],
-                             _CHUNK, _BATCH)
+                             _CHUNK)
     return coarse, fine
 
 
@@ -275,10 +276,10 @@ def simulate_exit_refinement_pair(domain, b, h: float, x0, dt: float,
 def mgf_estimate(samples: ExitEnsemble, lam: float, h: float,
                  lambda1: Optional[float] = None) -> MgfEstimate:
     """Sample mean of exp(lambda tau / h) with jackknife standard error."""
-    if lambda1 is not None and lam > 0.9 * lambda1:
+    if lambda1 is not None and lam > SUBCRITICAL_FRACTION * lambda1:
         raise ValueError(
             f"lambda = {lam} must sit below the principal eigenvalue "
-            f"{lambda1} by a 10% margin")
+            f"{lambda1} by a {1 - SUBCRITICAL_FRACTION:.0%} margin")
     frac = float(np.mean(samples.truncated))
     if frac > 0.20:
         raise UnreliableTailError(

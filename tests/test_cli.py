@@ -14,6 +14,14 @@ from pslab.cli import Artifacts, emit_svg_heatmap, main, run
 from pslab.errors import ConfigError
 
 
+def swapped_circle(n):
+    """The unit circle's n-gon with vertices 1 and 2 swapped: not simple."""
+    t = 2.0 * np.pi * np.arange(n) / n
+    v = np.column_stack([np.cos(t), np.sin(t)])
+    v[[1, 2]] = v[[2, 1]]
+    return v
+
+
 def write_config(tmp_path, obj, name="config.json"):
     p = tmp_path / name
     p.write_text(json.dumps(obj, indent=1))
@@ -252,6 +260,9 @@ class TestRunner:
         ("blowup", "params", {"bump": {"center": [0.15], "a": 0.05,
                                        "delta": 0.36, "width": 0.1}},
          "params.bump.width"),
+        ("hull", None, {"domain": {"type": "polygon",
+                                   "vertices": swapped_circle(3000).tolist()}},
+         "domain.vertices"),
     ], ids=["domain-string", "interval-a-string", "field-X-string", "z-scalar",
             "z-three-entries", "h_list-scalar", "dx_rule-string",
             "resolution-scalar", "rect-strings", "n_paths-zero", "dt-negative",
@@ -266,7 +277,7 @@ class TestRunner:
             "lambda-zero-with-survival", "lambda-above-disk-eigenvalue",
             "alpha-above-mu", "x0-outside-interval", "x0-on-boundary",
             "misspelt-key", "n-on-a-disk", "dx-on-an-interval",
-            "grid-key-unknown", "bump-key-unknown"])
+            "grid-key-unknown", "bump-key-unknown", "polygon-not-simple-3000"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, experiment,
                                       section, patch, key):
         interval = {"type": "interval", "a": 0.0, "b": 1.0}

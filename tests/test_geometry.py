@@ -19,6 +19,13 @@ E1 = np.array([1.0, 0.0])
 SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
 
+def swapped_circle(n):
+    """The unit circle's n-gon with vertices 1 and 2 swapped."""
+    v = Disk((0, 0), 1.0).boundary_points(np.arange(n) / n)
+    v[[1, 2]] = v[[2, 1]]
+    return v
+
+
 def rot(angle):
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]])
@@ -47,6 +54,9 @@ class TestDomainValidation:
         # vertex 0 of a 600-gon pushed across the far side
         pytest.param(np.vstack([[-1.2, 0.0], Disk((0, 0), 1.0).boundary_points(
             np.arange(1, 600) / 600)]), "not simple", id="pushed-600-gon"),
+        # two neighbouring vertices of a 3,000-gon swapped: a crossing
+        # that only a polygon this large could once carry through
+        pytest.param(swapped_circle(3000), "not simple", id="swapped-3000-gon"),
     ])
     def test_polygon_simple(self, vertices, error):
         if error is None:

@@ -60,19 +60,19 @@ class TestSimulation:
         assert np.array_equal(four.tau, ens.tau[:4])
         assert np.array_equal(four.exit_points, ens.exit_points[:4])
 
-    def test_batching_invariance(self):
-        a = simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 9, 40, 20.0,
-                                   batch_size=7)
-        b = simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 9, 40, 20.0,
-                                   batch_size=40)
+    def test_batching_invariance(self, monkeypatch):
+        import pslab.sde as sde
+        b = simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 9, 40, 20.0)
+        monkeypatch.setattr(sde, "_BATCH", 7)
+        a = simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 9, 40, 20.0)
         assert np.array_equal(a.tau, b.tau)
 
     def test_draw_buffer_capped(self, monkeypatch):
-        # whatever batch_size asks for, one draw buffer holds at most
-        # _BATCH paths' normals, and the paths are the same
+        # one draw buffer holds at most _BATCH paths' normals, and the
+        # paths are the same as in one batch
         import pslab.sde as sde
         whole = simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 9,
-                                       40, 20.0, batch_size=40)
+                                       40, 20.0)
         rows = []
         advance = sde._Level.advance
 
@@ -83,7 +83,7 @@ class TestSimulation:
         monkeypatch.setattr(sde, "_BATCH", 16)
         monkeypatch.setattr(sde._Level, "advance", spy)
         capped = simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 9,
-                                        40, 20.0, batch_size=100000)
+                                        40, 20.0)
         assert max(rows) == 16
         assert np.array_equal(capped.tau, whole.tau)
         assert np.array_equal(capped.exit_points, whole.exit_points)
