@@ -40,6 +40,8 @@ def classify_config(outdir):
 
 INTERVAL = {"type": "interval", "a": 0.0, "b": 1.0}
 DISK = {"type": "disk", "center": [0.0, 0.0], "radius": 1.0}
+LSHAPE = {"type": "polygon",
+          "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]}
 
 # one small config per experiment, and the SHA-256 prefix of each
 # artifact; a row runs the experiment it is named after unless it names one
@@ -47,8 +49,24 @@ FROZEN = {
     "classify": {"domain": {"type": "ellipse", "center": [0.1, -0.2],
                             "semi_axes": [1.2, 0.7], "angle": 0.4},
                  "field": {"X": [1.0, 0.5]}, "params": {"n_samples": 48}},
+    # the one-dimensional endpoint samples
+    "classify-interval": {"experiment": "classify", "domain": INTERVAL,
+                          "field": {"X": [1.0]}, "params": {"n_samples": 2}},
+    # polygon vertices take the bisector of their two edge normals
+    "classify-polygon": {"experiment": "classify", "domain": LSHAPE,
+                         "field": {"X": [1.0, 0.3]},
+                         "params": {"n_samples": 64}},
     "hull": {"domain": DISK, "field": {"X": [1.0, 0.0]},
              "params": {"generators": "gamma_plus", "n_samples": 128}},
+    # configs/hull_lshape.json without its oracle: the geodesic between the
+    # generators bends around the reflex vertex (1, 1)
+    "hull-lshape": {"experiment": "hull",
+                    "domain": {"type": "polygon",
+                               "vertices": [[0, 0], [2, 0], [2, 2], [1, 2],
+                                            [1, 1], [0, 1]]},
+                    "field": {"X": [1.0, 0.0]},
+                    "params": {"generators": [[0.0, 0.5], [1.5, 2.0]],
+                               "resolution": 0.02}},
     "quasimode": {"domain": DISK, "field": {"X": [1.0, 0.0]},
                   "params": {"z": [1.0, 0.5], "h": 0.05, "x0": [1.0, 0.0],
                              "grid": {"nx": 12, "ny": 10}}},
@@ -93,9 +111,13 @@ FROZEN = {
 }
 FROZEN_DIGESTS = {
     "classify": {"boundary.csv": "cbb7bcb3cd33c309"},
+    "classify-interval": {"boundary.csv": "222a67660dbb7b7e"},
+    "classify-polygon": {"boundary.csv": "284389b52c2e6a09"},
     "hull": {"hull.geojson": "c8301b425f96db65",
              "hull_arcs.csv": "248c7acab9780e56",
              "tight_arcs.csv": "8e08764d13dd7981"},
+    "hull-lshape": {"hull.geojson": "0858947c9f9ad8c8",
+                    "hull_arcs.csv": "73ab6ceb4a810609"},
     "quasimode": {"quasimode_grid.csv": "527c3650f40b0132",
                   "quasimode_manifest.json": "0c3043fcf9c7c51d"},
     "quasimode-interval": {"quasimode_grid.csv": "0b7f36a29ef9238d",
