@@ -352,13 +352,10 @@ def _xy(points, x="x", y="y") -> dict:
 
 
 def run_classify(domain, field, params, art: Artifacts):
-    samples = classify_boundary(domain, field, params["n_samples"],
-                                tol=params["tol"])
+    s = classify_boundary(domain, field, params["n_samples"], tol=params["tol"])
     art.write_csv("boundary.csv", {
-        "t": [s.t for s in samples], **_xy([s.point for s in samples]),
-        **_xy([s.normal for s in samples], "nu_x", "nu_y"),
-        "curvature": [s.curvature for s in samples],
-        "class": [s.classification for s in samples]})
+        "t": s.t, **_xy(s.points), **_xy(s.normals, "nu_x", "nu_y"),
+        "curvature": s.curvature, "class": s.classes})
 
 
 def run_hull(domain, field, params, art: Artifacts):

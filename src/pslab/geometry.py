@@ -6,10 +6,12 @@ The boundary carries a parameter t in [0,1) increasing counterclockwise.
 
 Against a constant vector field X, boundary points split into illuminated
 (<X,nu> > 0), shadow (<X,nu> < 0) and glancing (|<X,nu>| <= tol) parts,
-where nu is the outward unit normal.  ``boundary_frame`` builds the local
-orthonormal frame used by the phase construction: nu, a unit tangent, the
-normal component nu1 = <X/|X|, nu>, the tangential magnitude X' and the
-tangential unit direction e1'.
+where nu is the outward unit normal.  ``classify_boundary`` returns the
+samples as columns (``BoundarySamples``): parameters, points, normals,
+curvatures and classes.  ``boundary_frame`` builds the local orthonormal
+frame used by the phase construction: nu, the tangent (the unit tangential
+part of X when X is oblique), the normal component nu1 = <X/|X|, nu> and the
+tangential magnitude X'.
 
 Curvature is signed positive for convex boundaries (a disk of radius r has
 curvature +1/r everywhere).
@@ -101,10 +103,6 @@ class _PlanarDomain:
         tang = v / speed
         # CCW orientation: outward normal is the tangent rotated -90 degrees
         return np.column_stack([tang[:, 1], -tang[:, 0]])
-
-    def boundary_tangent(self, t) -> np.ndarray:
-        v = self._velocity(np.atleast_1d(np.asarray(t, dtype=float)))
-        return v / np.linalg.norm(v, axis=1, keepdims=True)
 
     def boundary_curvature(self, t) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -288,11 +286,9 @@ class Polygon:
         self.perimeter = self.cum[-1]
 
     def boundary_points(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float)) % 1.0
-        s = t * self.perimeter
-        idx = np.clip(np.searchsorted(self.cum, s, side="right") - 1, 0,
-                      len(self.edge_len) - 1)
-        frac = (s - self.cum[idx]) / self.edge_len[idx]
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        idx = self._edge_of(t)
+        frac = ((t % 1.0) * self.perimeter - self.cum[idx]) / self.edge_len[idx]
         v0 = self.vertices[idx]
         v1 = self.vertices[(idx + 1) % len(self.vertices)]
         return v0 + frac[:, None] * (v1 - v0)
@@ -318,11 +314,6 @@ class Polygon:
                            self._edge_normals()[idx])
             n = np.where(at_vertex[:, None], bis, n)
         return n
-
-    def boundary_tangent(self, t):
-        idx = self._edge_of(np.atleast_1d(np.asarray(t, dtype=float)))
-        e = np.roll(self.vertices, -1, axis=0) - self.vertices
-        return (e / self.edge_len[:, None])[idx]
 
     def boundary_curvature(self, t):
         return np.zeros(np.atleast_1d(t).shape[0])
@@ -460,13 +451,17 @@ def segment_in_domain(domain, p, q) -> bool:
 # ===================================================================== #
 
 @dataclass
-class BoundarySample:
-    point: np.ndarray
-    normal: np.ndarray
-    tangent: Optional[np.ndarray]
-    curvature: float
-    classification: str
-    t: float
+class BoundarySamples:
+    """Boundary samples as columns, one entry (or row) per sample.
+
+    ``points`` and ``normals`` are (n, d); ``classes`` holds "illuminated",
+    "glancing" or "shadow" for each sample.
+    """
+    t: np.ndarray
+    points: np.ndarray
+    normals: np.ndarray
+    curvature: np.ndarray
+    classes: np.ndarray
 
 
 @dataclass
@@ -520,41 +515,32 @@ class BoundaryFrame:
         return acc
 
 
-def _classify_value(xdotnu: float, tol: float) -> str:
-    if xdotnu > tol:
-        return "illuminated"
-    if xdotnu < -tol:
-        return "shadow"
-    return "glancing"
-
-
-def classify_boundary(domain, field_like, n: int, tol: float = GLANCING_TOL):
+def classify_boundary(domain, field_like, n: int,
+                      tol: float = GLANCING_TOL) -> BoundarySamples:
     """Sample the boundary and classify each sample against the field.
 
-    Returns samples ordered by boundary parameter.  In one dimension the two
-    endpoints are returned (left first).
+    Samples are ordered by boundary parameter.  In one dimension they are
+    the two endpoints (left first, t = 0 and 1) and ``n`` is not used.
     """
     field = _as_field(field_like)
     if field.norm == 0.0:
         raise InvalidFieldError("field X must be nonzero for classification")
     if domain.dimension == 1:
-        out = []
-        for t, x, nu in ((0.0, domain.a, -1.0), (1.0, domain.b, 1.0)):
-            val = field.X[0] * nu
-            out.append(BoundarySample(np.array([x]), np.array([nu]), None, 0.0,
-                                      _classify_value(val, tol), t))
-        return out
-    if n < 8:
-        raise GeometryError("need at least 8 boundary samples in 2D")
-    ts = np.arange(n) / n
-    pts = domain.boundary_points(ts)
-    nus = domain.boundary_normal(ts)
-    tgs = domain.boundary_tangent(ts)
-    ks = domain.boundary_curvature(ts)
+        ts = np.array([0.0, 1.0])
+        pts = np.array([[domain.a], [domain.b]])
+        nus = np.array([[-1.0], [1.0]])
+        ks = np.zeros(2)
+    else:
+        if n < 8:
+            raise GeometryError("need at least 8 boundary samples in 2D")
+        ts = np.arange(n) / n
+        pts = domain.boundary_points(ts)
+        nus = domain.boundary_normal(ts)
+        ks = domain.boundary_curvature(ts)
     vals = nus @ field.X
-    return [BoundarySample(pts[i], nus[i], tgs[i], float(ks[i]),
-                           _classify_value(float(vals[i]), tol), float(ts[i]))
-            for i in range(n)]
+    classes = np.where(vals > tol, "illuminated",
+                       np.where(vals < -tol, "shadow", "glancing"))
+    return BoundarySamples(ts, pts, nus, ks, classes)
 
 
 def boundary_frame(domain, field_like, x0) -> BoundaryFrame:

@@ -129,24 +129,14 @@ def _runs_to_intervals(ts: np.ndarray, member: np.ndarray) -> list:
         return []
     if member.all():
         return [(0.0, 1.0)]
-    n = len(ts)
-    # rotate so the run does not straddle the wrap point
+    # rotate to a non-member so that no run straddles the wrap point
     start = int(np.argmin(member))
-    rolled = np.roll(member, -start)
-    intervals = []
-    i = 0
-    while i < n:
-        if rolled[i]:
-            j = i
-            while j < n and rolled[j]:
-                j += 1
-            t0 = ts[(start + i) % n]
-            t1 = ts[(start + j - 1) % n]
-            intervals.append((float(t0), float(t1)))
-            i = j
-        else:
-            i += 1
-    return intervals
+    rolled = np.roll(member, -start).astype(np.int8)
+    step = np.diff(rolled, prepend=0, append=0)
+    ts = np.roll(ts, -start)
+    return [(float(ts[i]), float(ts[j - 1]))
+            for i, j in zip(np.flatnonzero(step == 1),
+                            np.flatnonzero(step == -1))]
 
 
 def _domain_lattice(domain, spacing: float):
@@ -506,15 +496,12 @@ def predicted_support(domain, field_X, n_samples: int = 1024,
     dimensions; when the shadow boundary is strictly curved everywhere the
     curvature rule independently removes shadow points as well.
     """
-    samples = classify_boundary(domain, field_X, n_samples)
-    keep = [s for s in samples if s.classification != "shadow"]
-    tight_pts = np.array([s.point for s in keep]) if keep else np.empty((0, 2))
-    ts = np.array([s.t for s in samples])
-    member = np.array([s.classification != "shadow" for s in samples])
-    tight_arcs = _runs_to_intervals(ts, member)
+    s = classify_boundary(domain, field_X, n_samples)
+    member = s.classes != "shadow"
+    tight_pts = s.points[member]
+    tight_arcs = _runs_to_intervals(s.t, member)
     hull = relative_convex_hull(domain, tight_pts, resolution)
     hull_arcs = hull.boundary_arcs()
-    shadow_curved = all(abs(s.curvature) > _CURVATURE_TOL for s in samples
-                        if s.classification == "shadow")
+    shadow_curved = bool(np.all(np.abs(s.curvature[~member]) > _CURVATURE_TOL))
     rule = "planar+curvature" if shadow_curved else "planar"
     return SupportPrediction(hull, hull_arcs, tight_arcs, tight_pts, rule)

@@ -224,7 +224,7 @@ class LocalizationProfile:
     radial_mass: np.ndarray
     arc_centers: np.ndarray       # boundary parameter of each arc bin
     arc_mass: np.ndarray
-    arc_class: list
+    arc_class: np.ndarray         # class of the sample at each arc center
     node_mass: np.ndarray
     node_points: np.ndarray
 
@@ -260,30 +260,25 @@ def localization_profile(op: GridOperator, vector: np.ndarray, field_X
     domain = op.domain
     if op.dimension == 1:
         dist = np.minimum(pts[:, 0] - domain.a, domain.b - pts[:, 0])
-        classes = [s.classification
-                   for s in classify_boundary(domain, field_X, 2)]
+        classes = classify_boundary(domain, field_X, 2).classes
         arc_t = np.where(pts[:, 0] - domain.a < domain.b - pts[:, 0], 0.0, 1.0)
         arc_mass = np.array([mass[arc_t == 0.0].sum(), mass[arc_t == 1.0].sum()])
         arc_centers = np.array([0.0, 1.0])
     else:
         dist = np.abs(domain.signed_distance(pts))
         samples = classify_boundary(domain, field_X, _ARC_SAMPLES)
-        bnd_pts = np.array([s.point for s in samples])
-        bnd_t = np.array([s.t for s in samples])
         # deep nodes are near-equidistant from every sample, so the tree
         # prunes little; the query runs on every core the process may use
-        _, nearest = cKDTree(bnd_pts).query(
+        _, nearest = cKDTree(samples.points).query(
             pts, workers=len(os.sched_getaffinity(0)))
-        arc_t = bnd_t[nearest]
+        arc_t = samples.t[nearest]
         edges = np.linspace(0.0, 1.0, _ARC_BINS + 1)
         which = np.clip(np.searchsorted(edges, arc_t, side="right") - 1,
                         0, _ARC_BINS - 1)
         arc_mass = np.bincount(which, weights=mass, minlength=_ARC_BINS)
         arc_centers = 0.5 * (edges[:-1] + edges[1:])
-        classes = []
-        for c in arc_centers:
-            k = int(round(c * _ARC_SAMPLES)) % _ARC_SAMPLES
-            classes.append(samples[k].classification)
+        classes = samples.classes[
+            np.round(arc_centers * _ARC_SAMPLES).astype(int) % _ARC_SAMPLES]
     rmax = float(dist.max()) + 1e-12
     redges = np.linspace(0.0, rmax, _RADIAL_BINS + 1)
     rbin = np.clip(np.searchsorted(redges, dist, side="right") - 1,

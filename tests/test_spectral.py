@@ -156,8 +156,7 @@ class TestLocalization:
         h = 0.05
         op = assemble_2d(Disk((0, 0), 1.0), h, [1.0, 0.0], h / 8)
         samples = classify_boundary(Disk((0, 0), 1.0), [1.0, 0.0], 2048)
-        good = np.array([s.point for s in samples
-                         if s.classification in ("illuminated", "glancing")])
+        good = samples.points[samples.classes != "shadow"]
         sm, prof = pseudomode_localization(op, 1 + 0.5j, [1.0, 0.0])
         assert prof.mass_near_points(good, 0.25) > 0.85
         shadow_cap = prof.mass_in_cap([-1.0, 0.0], 0.2)
