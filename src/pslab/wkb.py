@@ -56,6 +56,8 @@ from .jets import Jet
 
 _SEED_TOL = 1e-10
 _COLLAR_SAMPLES = 400       # boundary samples of the cutoff collar check
+_INTERIOR_SAMPLES = 41      # tangential samples of its interior lattice
+_INTERIOR_DEPTHS = 20       # depths below the boundary graph per sample
 _CHART_NEWTON_STEPS = 60    # Newton steps of the characteristic chart inversion
 # residual quadrature: Gauss points per panel, the refined run's factor on
 # them, the largest relative change of either norm between the two runs,
@@ -443,17 +445,25 @@ class Quasimode:
 
 
 def collar_check(phases, cutoff: Cutoff) -> bool:
-    """Im(phi_i) > 0 on the boundary part of the cutoff collar, both phases."""
+    """Im(phi_i) > 0 for both phases on the boundary part of the cutoff
+    collar and inside the support, at depths below the boundary graph
+    (x0 itself, where phi = 0, is left out)."""
     frame = phases[0].seed.frame
+    r_out = cutoff.r_outer
+    depth = r_out * np.arange(1, _INTERIOR_DEPTHS + 1) / _INTERIOR_DEPTHS
     if frame.dimension == 1:
-        return True      # the boundary near x0 is the single point x0
-    ts = np.linspace(-cutoff.r_outer, cutoff.r_outer, _COLLAR_SAMPLES)
-    g = phases[0].boundary_graph.eval(ts).real
-    r = np.hypot(g, ts)
-    sel = (r >= cutoff.r_inner) & (r <= cutoff.r_outer)
-    if not np.any(sel):
-        return True
-    w = np.column_stack([g[sel], ts[sel]])
+        w = -depth[:, None]      # the boundary near x0 is x0 itself
+    else:
+        graph = phases[0].boundary_graph
+        ts = np.linspace(-r_out, r_out, _COLLAR_SAMPLES)
+        g = graph.eval(ts).real
+        r = np.hypot(g, ts)
+        collar = np.column_stack([g, ts])[(r >= cutoff.r_inner) & (r <= r_out)]
+        ti = np.linspace(-r_out, r_out, _INTERIOR_SAMPLES)
+        inner = np.column_stack([
+            (graph.eval(ti).real[None, :] - depth[:, None]).ravel(),
+            np.tile(ti, _INTERIOR_DEPTHS)])
+        w = np.vstack([collar, inner[np.hypot(*inner.T) <= r_out]])
     pts = frame.ambient(w)
     return not any(np.any(ph.phase_data(pts, w)[0].imag <= 0.0) for ph in phases)
 
@@ -675,17 +685,20 @@ class CharacteristicPhase:
         self.boundary_graph = boundary_graph_jet(domain, frame, 8)
         if frame.dimension != 2:
             raise GeometryError("characteristic backend is two-dimensional only")
-        # choose the square-root branch matching the seed at y = 0
+        # keep the square-root branch whose normal component at y = 0 is
+        # nearer the seed's; the two roots are v and -i Xn/nn - v, not +-v
         y0 = np.array([0.0 + 0.0j])
-        self._branch = 1.0
-        v0 = self._ray(y0).v[0]
         want = seed.sp.field_norm * (seed.alpha[root - 1] + 1j * seed.beta[root - 1])
         _, _, _, n0, _ = self.bnd.at(y0)
         nfac = _bdot(n0[0], self.frame.normal.astype(complex))
-        if abs(v0 * nfac - want) > abs(v0 * nfac + want):
-            self._branch = -1.0
-            v0 = self._ray(y0).v[0]
-        if abs(v0 * nfac - want) > 1e-9 * max(1.0, abs(want)):
+
+        def miss(branch):
+            self._branch = branch
+            return abs(self._ray(y0).v[0] * nfac - want)
+
+        err, self._branch = min(((miss(b), b) for b in (1.0, -1.0)),
+                                key=lambda e: e[0])
+        if err > 1e-9 * max(1.0, abs(want)):
             raise OutOfChartError("failed to match the seed covector branch")
 
     # -------------------------------------------------------------- #

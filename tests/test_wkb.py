@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +296,18 @@ class TestQuasimode:
         q = build_quasimode(DISK, E1, [1.0, 0.0], 1 + 0.5j, 0.05, eps=0.05)
         assert q.cutoff.r_outer < 0.6
 
+    def test_shrinks_off_a_growing_interior_phase(self):
+        # at z = 1.5 the second phase has Im phi < 0 inside the default
+        # support but not on its boundary collar; unchecked, u grows like
+        # e^{-Im phi / h} and the residual quadrature overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = build_quasimode(DISK, E1, [1.0, 0.0], 1.5, 0.05, order=5,
+                                n_max=1)
+            rep = quasimode_residual(q)
+        assert q.cutoff.r_outer < 0.6
+        assert np.isfinite(rep.norm_u) and np.isfinite(rep.norm_pzu)
+
     def test_residual_refinement_guard(self, monkeypatch):
         # a norm that moves by 2% between the 12- and 18-point rules is
         # reported as under-resolved, not returned
@@ -354,6 +367,17 @@ class TestCharacteristicBackend:
         want = seed.covector_frame(1)
         assert np.allclose(grad[0], want, atol=1e-10)
         assert abs(pz[0]) < 1e-10
+
+    @pytest.mark.parametrize("root", [1, 2])
+    @pytest.mark.parametrize("z", [0.2, 1.5, 0.2 + 0.01j, 1 + 0.5j])
+    def test_branch_matches_seed(self, z, root):
+        # the roots of the eikonal quadratic are v and -i Xn/nn - v; on real
+        # z and just off it, -v is far from the second root
+        seed = phase_seed(unit_frame_2d(), SpectralPoint(z, 0.05, E1))
+        ch = CharacteristicPhase(DISK, seed, root)
+        _, grad, _, _ = ch.phase_data(np.array([[1.0, 0.0]]))
+        assert np.allclose(grad[0], seed.covector_frame(root), rtol=0,
+                           atol=1e-14)
 
     def test_eikonal_residual_pointwise(self):
         sp = SpectralPoint(1 + 0.5j, 0.05, E1)
