@@ -105,15 +105,6 @@ class Jet:
             c = _conv2(self.coeffs, other.coeffs)
         return Jet(c, order, self.dim)
 
-    def power(self, n: int, order: int | None = None) -> "Jet":
-        if order is None:
-            order = self.order
-        out = Jet.constant(1.0, order, self.dim)
-        base = Jet(self.coeffs, order, self.dim)
-        for _ in range(n):
-            out = out.mul(base, order)
-        return out
-
     def diff(self, axis: int = 0) -> "Jet":
         """Partial derivative along ``axis``; order drops by one degree of content."""
         c = self.coeffs
