@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -87,6 +88,31 @@ class TestSimulation:
         assert max(rows) == 16
         assert np.array_equal(capped.tau, whole.tau)
         assert np.array_equal(capped.exit_points, whole.exit_points)
+
+    def test_draw_error_reaches_caller(self, monkeypatch):
+        # a generator that fails mid-ensemble fails the call: no partly
+        # drawn paths come back
+        import pslab.sde as sde
+
+        class DrawError(Exception):
+            pass
+
+        class Broken:
+            def standard_normal(self, out):
+                raise DrawError("draw failed")
+
+        make = sde._path_generators
+
+        def generators(seed, lo, hi):
+            gens = make(seed, lo, hi)
+            gens[-1] = Broken()
+            return gens
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(sde, "_path_generators", generators)
+        with pytest.raises(DrawError, match="draw failed"):
+            simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 9, 40,
+                                   20.0)
 
     def test_exit_points_on_boundary(self):
         ens = simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 3, 200, 20.0)
@@ -179,6 +205,17 @@ class TestBitIdentity:
                                      [0.9, 0.0], h * h / 32.0, 23, 200, 1.0)
         assert _digests(ens) == ("08786722eb22b7e6", "8d71da8eee61fb9a",
                                  "c7e1c511ae666eb0")
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_digests_independent_of_worker_count(self, monkeypatch, cpus):
+        # the draws fill on one worker per CPU of the process's affinity;
+        # each path owns its generator and its buffer row
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        self.test_interval_constant_drift_truncating()
+        self.test_refinement_pair_odd_fine_steps()
+        self.test_disk_constant_drift()
+        self.test_disk_callable_drift()
 
     def test_constant_drift_blocks_match_callable_steps(self):
         # constant drift is block-stepped, a callable one steps one at a time
