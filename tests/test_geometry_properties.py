@@ -1,5 +1,6 @@
 """Property tests of ``geometry``: the sign of ``signed_distance`` agrees
-with an independent membership test, and ``classify_boundary`` is
+with an independent membership test (on a disk, an ellipse, a
+``ParametricCurve`` tracing an ellipse and an L-shaped polygon), and ``classify_boundary`` is
 equivariant under a rotation of an ellipse together with its field.
 
 Curved domains measure distance to their inscribed 4,096-gon, which lies
@@ -16,7 +17,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pslab.geometry import GLANCING_TOL, Disk, Ellipse, Polygon, classify_boundary
+from pslab.geometry import (GLANCING_TOL, Disk, Ellipse, ParametricCurve,
+                            Polygon, classify_boundary)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40,
                     deadline=None)
@@ -57,6 +59,38 @@ def test_ellipse_sign_matches_implicit(data, cx, cy, a, b, angle):
     rho = np.sqrt(F + 1.0)
     keep = np.abs(rho - 1.0) * small > 2 * sagitta
     sd = ell.signed_distance(pts)
+    assert np.array_equal((sd < 0)[keep], (F < 0)[keep])
+
+
+@PROPERTY
+@given(data=st.data(), cx=_coord, cy=_coord, a=_length, b=_length,
+       angle=_angle)
+def test_parametric_curve_sign_matches_implicit(data, cx, cy, a, b, angle):
+    # the ellipse of the test above, given to ParametricCurve as p(t), p'(t)
+    # and p''(t) for t in [0, 1); the curve polygonizes at the same 4,096
+    # parameter steps, so the same sagitta bound holds
+    c = np.array([cx, cy])
+    R = _rot(angle)
+    w = 2 * math.pi
+
+    def fn(t):
+        return c + R @ (a * math.cos(w * t), b * math.sin(w * t))
+
+    def d1(t):
+        return R @ (-w * a * math.sin(w * t), w * b * math.cos(w * t))
+
+    def d2(t):
+        return R @ (-w * w * a * math.cos(w * t), -w * w * b * math.sin(w * t))
+
+    curve = ParametricCurve(fn, d1, d2)
+    big, small = max(a, b), min(a, b)
+    sagitta = (2 * math.pi * big / 4096) ** 2 * big / (4 * small ** 2)
+    pts = c + _points(data, -1.5 * big, 1.5 * big)
+    u, v = ((pts - c) @ R).T
+    F = (u / a) ** 2 + (v / b) ** 2 - 1.0
+    rho = np.sqrt(F + 1.0)
+    keep = np.abs(rho - 1.0) * small > 2 * sagitta
+    sd = curve.signed_distance(pts)
     assert np.array_equal((sd < 0)[keep], (F < 0)[keep])
 
 
