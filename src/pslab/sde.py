@@ -6,7 +6,11 @@ boundary-layer correction; the half-order discrete-crossing bias is accepted
 and covered by the coupled refinement check).  Randomness is drawn from
 counter-based Philox streams keyed by (seed, path_index): distinct paths use
 provably independent substreams, and a path's draw sequence depends only on
-its own key, so results are independent of batching.
+its own key, so results are independent of batching.  Each chunk of
+normals is filled on one thread per CPU of the process's affinity (numpy
+draws into ``out=`` with the GIL released); every path still owns its
+generator and its buffer row, so results are independent of the worker
+count too.
 
 One kernel steps every ensemble.  A constant drift is block-stepped: a
 sub-block of steps is advanced for all alive paths with one signed-distance
@@ -27,6 +31,7 @@ v = A e^{r+ x} + B e^{r- x}, r+- = (-b +- sqrt(b^2 - 4 lambda)) / (2h).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -216,24 +221,35 @@ def _simulate(domain, b, h: float, x0, seed: int, n_paths: int, t_max: float,
             ens.tau[:] = 0.0
         return out
     n_draws = max(stride * n for _, stride, n in levels)
-    for lo in range(0, n_paths, _BATCH):
-        hi = min(lo + _BATCH, n_paths)
-        gens = _path_generators(seed, lo, hi)
-        run = [_Level(ens, lo, hi, domain, b, start_sd, stride, n)
-               for ens, (_, stride, n) in zip(out, levels)]
-        buf = np.empty((hi - lo, chunk, d))
-        for base in range(0, n_draws, chunk):
-            need = np.zeros(hi - lo, dtype=bool)
+    # numpy fills out= with the GIL released, so one worker per CPU draws
+    # its contiguous share of the rows; each row has its own generator
+    from concurrent.futures import ThreadPoolExecutor
+    workers = len(os.sched_getaffinity(0))
+    with ThreadPoolExecutor(workers) as pool:
+        for lo in range(0, n_paths, _BATCH):
+            hi = min(lo + _BATCH, n_paths)
+            gens = _path_generators(seed, lo, hi)
+            run = [_Level(ens, lo, hi, domain, b, start_sd, stride, n)
+                   for ens, (_, stride, n) in zip(out, levels)]
+            buf = np.empty((hi - lo, chunk, d))
+
+            def draw(rows):
+                for a in rows:
+                    gens[a].standard_normal(out=buf[a])
+
+            for base in range(0, n_draws, chunk):
+                need = np.zeros(hi - lo, dtype=bool)
+                for lv in run:
+                    need[lv.idx] = True
+                if not need.any():
+                    break
+                # list() waits for every share and re-raises a worker's error
+                list(pool.map(draw, np.array_split(np.flatnonzero(need),
+                                                   workers)))
+                for lv in run:
+                    lv.advance(buf, base)
             for lv in run:
-                need[lv.idx] = True
-            if not need.any():
-                break
-            for a in np.flatnonzero(need):
-                gens[a].standard_normal(out=buf[a])
-            for lv in run:
-                lv.advance(buf, base)
-        for lv in run:
-            lv.finish()
+                lv.finish()
     return out
 
 
@@ -276,6 +292,8 @@ def simulate_exit_refinement_pair(domain, b, h: float, x0, dt: float,
 def mgf_estimate(samples: ExitEnsemble, lam: float, h: float,
                  lambda1: Optional[float] = None) -> MgfEstimate:
     """Sample mean of exp(lambda tau / h) with jackknife standard error."""
+    if len(samples) < 2:
+        raise ValueError("the jackknife needs at least 2 samples")
     if lambda1 is not None and lam > SUBCRITICAL_FRACTION * lambda1:
         raise ValueError(
             f"lambda = {lam} must sit below the principal eigenvalue "

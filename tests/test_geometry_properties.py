@@ -1,7 +1,8 @@
 """Property tests of ``geometry``: the sign of ``signed_distance`` agrees
 with an independent membership test (on a disk, an ellipse, a
-``ParametricCurve`` tracing an ellipse and an L-shaped polygon), and ``classify_boundary`` is
-equivariant under a rotation of an ellipse together with its field.
+``ParametricCurve`` tracing an ellipse and an L-shaped polygon), and
+``classify_boundary`` is equivariant under a rotation of an ellipse
+together with its field.
 
 Curved domains measure distance to their inscribed 4,096-gon, which lies
 within one sagitta of the true boundary, so the sign test only draws points

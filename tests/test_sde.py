@@ -210,12 +210,22 @@ class TestBitIdentity:
     def test_digests_independent_of_worker_count(self, monkeypatch, cpus):
         # the draws fill on one worker per CPU of the process's affinity;
         # each path owns its generator and its buffer row
+        import concurrent.futures
+        pools = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cpus)))
         self.test_interval_constant_drift_truncating()
         self.test_refinement_pair_odd_fine_steps()
         self.test_disk_constant_drift()
         self.test_disk_callable_drift()
+        assert pools == [cpus] * 4      # one pool per ensemble
 
     def test_constant_drift_blocks_match_callable_steps(self):
         # constant drift is block-stepped, a callable one steps one at a time
@@ -290,6 +300,12 @@ class TestMgfEstimate:
         ens = simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.05], 5e-4, 5, 100, 40.0)
         with pytest.raises(ValueError):
             mgf_estimate(ens, 0.16, 0.05, lambda1=0.16)
+
+    def test_single_sample_rejected(self):
+        # the jackknife divides by n - 1
+        ens = simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.05], 5e-4, 5, 1, 40.0)
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            mgf_estimate(ens, 0.1, 0.05)
 
     def test_unreliable_tail(self):
         ens = simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.05], 5e-4, 5, 200, 0.05)
