@@ -649,7 +649,8 @@ REGISTRY = {
     }, lambda domain, field, p: _check_region(field, p)),
     "exit-time": Experiment(run_exit_time, {
         "h": POSITIVE_FLOAT, "dt": POSITIVE_FLOAT,
-        "n_paths": Key(int, REQUIRED, POSITIVE),
+        "n_paths": Key(int, REQUIRED, (lambda v: v >= 2,
+                                       "need at least 2 paths")),
         # the first word of a path's Philox key
         "seed": Key(int, REQUIRED, (lambda v: 0 <= v < 2 ** 64,
                                     "seed must lie in [0, 2^64)")),

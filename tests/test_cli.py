@@ -225,6 +225,7 @@ class TestRunner:
         ("pseudospectrum", "params", {"rect": ["-0.5", "1.5", "-1", "1"]},
          "params.rect"),
         ("exit-time", "params", {"n_paths": 0}, "params.n_paths"),
+        ("exit-time", "params", {"n_paths": 1}, "params.n_paths"),
         ("exit-time", "params", {"dt": -1e-4}, "params.dt"),
         ("spectrum", "params", {"h": -0.1}, "params.h"),
         ("quasimode", "params", {"backend": "foo"}, "params.backend"),
@@ -287,10 +288,10 @@ class TestRunner:
          "domain.vertices"),
     ], ids=["domain-string", "interval-a-string", "field-X-string", "z-scalar",
             "z-three-entries", "h_list-scalar", "dx_rule-string",
-            "resolution-scalar", "rect-strings", "n_paths-zero", "dt-negative",
-            "spectrum-h-negative", "backend-unknown", "order-one",
-            "order-string", "n_max-negative", "radii-reversed", "a_param-two",
-            "eps-zero", "grid-nx-string", "spectrum-n-string",
+            "resolution-scalar", "rect-strings", "n_paths-zero", "n_paths-one",
+            "dt-negative", "spectrum-h-negative", "backend-unknown",
+            "order-one", "order-string", "n_max-negative", "radii-reversed",
+            "a_param-two", "eps-zero", "grid-nx-string", "spectrum-n-string",
             "t_end-string", "t_max-string", "oracle_spacing-string",
             "tol-string", "snapshot_times-strings", "survival_s-scalar",
             "generators-string", "spectrum-k-over-quarter-n",
