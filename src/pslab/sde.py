@@ -221,11 +221,13 @@ def _simulate(domain, b, h: float, x0, seed: int, n_paths: int, t_max: float,
             ens.tau[:] = 0.0
         return out
     n_draws = max(stride * n for _, stride, n in levels)
-    # numpy fills out= with the GIL released, so one worker per CPU draws
-    # its contiguous share of the rows; each row has its own generator
+    # numpy fills out= with the GIL released, so one thread per CPU draws a
+    # contiguous share of the rows; each row has its own generator.  The
+    # caller draws the first share, which stays in its cache for advance,
+    # so the pool needs workers - 1 threads (on one CPU it starts none)
     from concurrent.futures import ThreadPoolExecutor
     workers = len(os.sched_getaffinity(0))
-    with ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
         for lo in range(0, n_paths, _BATCH):
             hi = min(lo + _BATCH, n_paths)
             gens = _path_generators(seed, lo, hi)
@@ -243,9 +245,11 @@ def _simulate(domain, b, h: float, x0, seed: int, n_paths: int, t_max: float,
                     need[lv.idx] = True
                 if not need.any():
                     break
-                # list() waits for every share and re-raises a worker's error
-                list(pool.map(draw, np.array_split(np.flatnonzero(need),
-                                                   workers)))
+                shares = np.array_split(np.flatnonzero(need), workers)
+                futures = [pool.submit(draw, rows) for rows in shares[1:]]
+                draw(shares[0])
+                for f in futures:
+                    f.result()          # waits, and re-raises an error
                 for lv in run:
                     lv.advance(buf, base)
             for lv in run:

@@ -1,5 +1,7 @@
 import hashlib
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -208,24 +210,40 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_digests_independent_of_worker_count(self, monkeypatch, cpus):
-        # the draws fill on one worker per CPU of the process's affinity;
-        # each path owns its generator and its buffer row
-        import concurrent.futures
-        pools = []
+        # the draws fill on one thread per CPU of the process's affinity;
+        # each path owns its generator and its buffer row.  3 threads on a
+        # 2-core box, switching often, would show a row written twice or
+        # from another path's stream
+        import pslab.sde as sde
+        threads = []            # the drawing threads, one set per ensemble
 
-        class Pool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, workers):
-                pools.append(workers)
-                super().__init__(workers)
+        class Recorded:
+            def __init__(self, gen, seen):
+                self.gen, self.seen = gen, seen
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+            def standard_normal(self, out):
+                self.seen.add(threading.get_ident())
+                return self.gen.standard_normal(out=out)
+
+        make = sde._path_generators
+
+        def generators(seed, lo, hi):
+            threads.append(set())
+            return [Recorded(g, threads[-1]) for g in make(seed, lo, hi)]
+
+        monkeypatch.setattr(sde, "_path_generators", generators)
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cpus)))
-        self.test_interval_constant_drift_truncating()
-        self.test_refinement_pair_odd_fine_steps()
-        self.test_disk_constant_drift()
-        self.test_disk_callable_drift()
-        assert pools == [cpus] * 4      # one pool per ensemble
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.test_interval_constant_drift_truncating()
+            self.test_refinement_pair_odd_fine_steps()
+            self.test_disk_constant_drift()
+            self.test_disk_callable_drift()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [len(t) for t in threads] == [cpus] * 4
 
     def test_constant_drift_blocks_match_callable_steps(self):
         # constant drift is block-stepped, a callable one steps one at a time
