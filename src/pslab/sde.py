@@ -221,10 +221,9 @@ def _simulate(domain, b, h: float, x0, seed: int, n_paths: int, t_max: float,
             ens.tau[:] = 0.0
         return out
     n_draws = max(stride * n for _, stride, n in levels)
-    # numpy fills out= with the GIL released, so one thread per CPU draws a
-    # contiguous share of the rows; each row has its own generator.  The
-    # caller draws the first share, which stays in its cache for advance,
-    # so the pool needs workers - 1 threads (on one CPU it starts none)
+    # one thread per CPU draws a contiguous share of the rows.  The caller
+    # draws the first share, which stays in its cache for advance, so the
+    # pool needs workers - 1 threads (on one CPU it starts none)
     from concurrent.futures import ThreadPoolExecutor
     workers = len(os.sched_getaffinity(0))
     with ThreadPoolExecutor(max(workers - 1, 1)) as pool:

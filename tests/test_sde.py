@@ -93,7 +93,8 @@ class TestSimulation:
 
     def test_draw_error_reaches_caller(self, monkeypatch):
         # a generator that fails mid-ensemble fails the call: no partly
-        # drawn paths come back
+        # drawn paths come back.  On 3 CPUs the last row is in a pool
+        # thread's share
         import pslab.sde as sde
 
         class DrawError(Exception):
