@@ -2,6 +2,7 @@ import hashlib
 import os
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,33 @@ class TestBitIdentity:
                                      [0.9, 0.0], h * h / 32.0, 23, 200, 1.0)
         assert _digests(ens) == ("08786722eb22b7e6", "8d71da8eee61fb9a",
                                  "c7e1c511ae666eb0")
+
+    def test_interval_state_dependent_drift(self):
+        # b(x) = 0.8 - 0.5 x, recorded while a callable drift still took
+        # one step per pass; 46 of 300 paths reach t_max (24,320 steps,
+        # not a multiple of the 1024-normal draw chunk)
+        h = 0.05
+        ens = simulate_exit_ensemble(INTERVAL, lambda x: 0.8 - 0.5 * x, h,
+                                     [0.3], h * h / 32.0, 31, 300, 1.9)
+        assert ens.truncated.sum() == 46
+        assert _digests(ens) == ("65c831443d7028f3", "e4e2b6a935119e45",
+                                 "3109b52e34e6986d")
+
+    def test_drift_past_exit_is_discarded(self):
+        # a callable drift may be evaluated past a path's exit, outside the
+        # domain; a drift that is NaN there must leave every result as it is
+        def inside_only(x):
+            x = np.asarray(x)
+            inside = np.linalg.norm(x, axis=1, keepdims=True) < 1.0
+            return np.where(inside, 0.8 * x, np.nan)
+
+        h = 0.05
+        args = (h, [0.9, 0.0], h * h / 32.0, 23, 200, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nan = simulate_exit_ensemble(Disk((0, 0), 1.0), inside_only, *args)
+        assert _digests(nan) == _digests(
+            simulate_exit_ensemble(Disk((0, 0), 1.0), _outward, *args))
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_digests_independent_of_worker_count(self, monkeypatch, cpus):
