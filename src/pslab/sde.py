@@ -12,13 +12,15 @@ draws into ``out=`` with the GIL released); every path still owns its
 generator and its buffer row, so results are independent of the worker
 count too.
 
-One kernel steps every ensemble.  A constant drift is block-stepped: a
-sub-block of steps is advanced for all alive paths with one signed-distance
-call and its first crossings found at once, bit-identical to stepping one
-at a time because each step still rounds as (x + b dt) + amp xi.  A callable
-drift is evaluated, and stepped, one step at a time.  The coupled (dt, dt/2)
-pair is two levels over one draw stream: the fine level steps with each
-normal, the coarse level with the normalized sum of each consecutive pair.
+One kernel steps every ensemble, block by block: a sub-block of steps is
+advanced for all alive paths with one signed-distance call and its first
+crossings found at once, bit-identical to stepping one at a time because
+each step still rounds as (x + b dt) + amp xi.  A constant drift's step is
+computed once; a callable drift is evaluated at every step of the block,
+past a path's exit too, where its values are discarded.  The coupled
+(dt, dt/2) pair is two levels over one draw stream: the fine level steps
+with each normal, the coarse level with the normalized sum of each
+consecutive pair.
 
 The moment generating function E exp(lambda tau_X / h) is estimated by the
 sample mean with jackknife standard errors; truncated paths contribute the
@@ -42,7 +44,7 @@ from .errors import GeometryError, SupercriticalError, UnreliableTailError
 
 _CHUNK = 256          # normals pre-drawn per path (the pair; the ensemble's floor)
 _BATCH = 16384        # paths simulated together
-_BLOCK = 65536        # path-steps per constant-drift sub-block; bounds scratch
+_BLOCK = 65536        # path-step coordinates per sub-block; bounds scratch
 _WILSON_Z = 1.959963984540054   # two-sided 95% normal quantile
 # the MGF is finite below the principal eigenvalue lambda_1; lambda may reach
 # this fraction of it
@@ -146,21 +148,14 @@ class _Level:
     def advance(self, buf: np.ndarray, base: int):
         """Step the alive paths over buf, which holds their draws from base.
 
-        Constant drift advances a sub-block of L steps per pass and takes
-        the signed distance once for it; a callable drift b is evaluated
-        every step (L = 1).
+        Each pass advances a sub-block of L steps and takes the signed
+        distance once for it; a callable drift b is evaluated every step.
         """
         d = buf.shape[2]
         k_end = min((base + buf.shape[1]) // self.stride, self.n_steps)
         while self.k < k_end and len(self.idx):
             n = len(self.idx)
-            if self.c is None:
-                L = 1
-                c = np.asarray(self.b(self.pos.T), dtype=float)
-                c = c.reshape(n, d).T * self.dt
-            else:
-                L = max(1, min(k_end - self.k, _BLOCK // n))
-                c = self.c
+            L = max(1, min(k_end - self.k, _BLOCK // (n * d)))
             r = self.k * self.stride - base
             xi = buf[self.idx, r:r + L * self.stride].transpose(1, 2, 0)
             if self.stride == 2:
@@ -171,6 +166,10 @@ class _Level:
             path[0] = self.pos
             np.multiply(xi, self.amp, out=path[1:])
             for j in range(L):
+                c = self.c
+                if c is None:
+                    c = np.asarray(self.b(path[j].T), dtype=float)
+                    c = c.reshape(n, d).T * self.dt
                 path[j + 1] += path[j] + c
             new = path[1:].transpose(0, 2, 1).reshape(L * n, d)
             sd = self.domain.signed_distance(new if d > 1 else new[:, 0]
@@ -260,8 +259,12 @@ def simulate_exit_ensemble(domain, b, h: float, x0, dt: float, seed: int,
                            n_paths: int, t_max: float) -> ExitEnsemble:
     """Euler-Maruyama first-exit ensemble; deterministic in (seed, dt, x0).
 
-    A start on the boundary exits at tau = 0; a start outside the domain
-    raises GeometryError.  Paths run _BATCH at a time.
+    b is a constant vector or a callable taking an (n, d) array of points
+    to their drifts.  A callable sees points outside the domain too, up to
+    L - 1 steps past a path's exit in a sub-block of L steps: it must not
+    raise there, and its values there are discarded.  A start on the
+    boundary exits at tau = 0; a start outside the domain raises
+    GeometryError.  Paths run _BATCH at a time.
     """
     max_steps = int(math.ceil(t_max / dt))
     # larger draw blocks only amortize generator calls: the per-path normal

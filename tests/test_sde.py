@@ -275,7 +275,8 @@ class TestBitIdentity:
         assert [len(t) for t in threads] == [cpus] * 4
 
     def test_constant_drift_blocks_match_callable_steps(self):
-        # constant drift is block-stepped, a callable one steps one at a time
+        # a constant drift's step is computed once per sub-block, a callable
+        # one is evaluated at every step of it; both round each step alike
         const = simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 42,
                                        64, 20.0)
         steps = simulate_exit_ensemble(INTERVAL, lambda x: np.full(len(x), 0.8),
