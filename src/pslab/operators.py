@@ -13,7 +13,7 @@ I + dt/h (P - mu) comes from ``factorize``.
 
 The conjugated spectrum oracle returns the exact eigenvalues
 |X|^2/4 + h^2 lambda_k(-Laplace_Dirichlet), valid for constant X because
-e^{<X,x>/2h} P e^{-<X,x>/2h} = -h^2*Laplace + |X|^2/4.
+e^{-<X,x>/2h} P e^{<X,x>/2h} = -h^2*Laplace + |X|^2/4.
 """
 
 from __future__ import annotations
@@ -200,11 +200,13 @@ def factorize(A) -> spla.SuperLU:
 
 
 def symmetrizer_1d(op: GridOperator) -> np.ndarray:
-    """Diagonal D with D P D^{-1} exactly symmetric on the uniform 1D grid.
+    """Diagonal D with D^{-1} P D exactly symmetric on the uniform 1D grid.
 
-    The continuum conjugation weight is e^{<X,x>/2h}; on the lattice the
-    exact weight uses the one-step ratio kappa = sqrt((2h + X dx)/(2h - X dx))
-    = e^{X dx / 2 h_eff}, which tends to the continuum weight as dx -> 0.
+    The continuum conjugation is e^{-<X,x>/2h} P e^{<X,x>/2h}, so D plays
+    e^{<X,x>/2h}; on the lattice the exact weight uses the one-step ratio
+    kappa = sqrt((2h + X dx)/(2h - X dx)) = e^{X dx / 2 h_eff}, the root of
+    the sub- over the superdiagonal, which tends to the continuum weight as
+    dx -> 0.
     """
     X = float(op.X[0])
     t = X * op.dx / (2.0 * op.h)
