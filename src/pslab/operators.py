@@ -202,11 +202,9 @@ def factorize(A) -> spla.SuperLU:
 def symmetrizer_1d(op: GridOperator) -> np.ndarray:
     """Diagonal D with D^{-1} P D exactly symmetric on the uniform 1D grid.
 
-    The continuum conjugation is e^{-<X,x>/2h} P e^{<X,x>/2h}, so D plays
-    e^{<X,x>/2h}; on the lattice the exact weight uses the one-step ratio
-    kappa = sqrt((2h + X dx)/(2h - X dx)) = e^{X dx / 2 h_eff}, the root of
-    the sub- over the superdiagonal, which tends to the continuum weight as
-    dx -> 0.
+    D is the weight e^{<X,x>/2h} of e^{-<X,x>/2h} P e^{<X,x>/2h} on the
+    lattice, with the exact one-step ratio kappa = sqrt((2h + X dx)/(2h -
+    X dx)) = e^{X dx / 2 h_eff}, which tends to e^{X dx / 2h} as dx -> 0.
     """
     X = float(op.X[0])
     t = X * op.dx / (2.0 * op.h)

@@ -12,15 +12,13 @@ draws into ``out=`` with the GIL released); every path still owns its
 generator and its buffer row, so results are independent of the worker
 count too.
 
-One kernel steps every ensemble, block by block: a sub-block of steps is
-advanced for all alive paths with one signed-distance call and its first
-crossings found at once, bit-identical to stepping one at a time because
-each step still rounds as (x + b dt) + amp xi.  A constant drift's step is
-computed once; a callable drift is evaluated at every step of the block,
+One kernel steps every ensemble: a sub-block of steps is advanced for all
+alive paths with one signed-distance call and its first crossings found at
+once, bit-identical to stepping one at a time because each step still
+rounds as (x + b dt) + amp xi.  A callable drift is evaluated at every step,
 past a path's exit too, where its values are discarded.  The coupled
 (dt, dt/2) pair is two levels over one draw stream: the fine level steps
-with each normal, the coarse level with the normalized sum of each
-consecutive pair.
+with each normal, the coarse level with the normalized sum of each pair.
 
 The moment generating function E exp(lambda tau_X / h) is estimated by the
 sample mean with jackknife standard errors; truncated paths contribute the
@@ -166,10 +164,8 @@ class _Level:
             path[0] = self.pos
             np.multiply(xi, self.amp, out=path[1:])
             for j in range(L):
-                c = self.c
-                if c is None:
-                    c = np.asarray(self.b(path[j].T), dtype=float)
-                    c = c.reshape(n, d).T * self.dt
+                c = self.c if self.c is not None else np.asarray(
+                    self.b(path[j].T), dtype=float).reshape(n, d).T * self.dt
                 path[j + 1] += path[j] + c
             new = path[1:].transpose(0, 2, 1).reshape(L * n, d)
             sd = self.domain.signed_distance(new if d > 1 else new[:, 0]
@@ -259,12 +255,12 @@ def simulate_exit_ensemble(domain, b, h: float, x0, dt: float, seed: int,
                            n_paths: int, t_max: float) -> ExitEnsemble:
     """Euler-Maruyama first-exit ensemble; deterministic in (seed, dt, x0).
 
-    b is a constant vector or a callable taking an (n, d) array of points
-    to their drifts.  A callable sees points outside the domain too, up to
-    L - 1 steps past a path's exit in a sub-block of L steps: it must not
-    raise there, and its values there are discarded.  A start on the
-    boundary exits at tau = 0; a start outside the domain raises
-    GeometryError.  Paths run _BATCH at a time.
+    b is a constant or a callable from an (n, d) array of points to their
+    drifts.  A callable also sees points outside the domain, up to L - 1
+    steps past a path's exit in a sub-block of L steps; it must not raise
+    there, and its values there are discarded.  A start on the boundary
+    exits at tau = 0; a start outside the domain raises GeometryError.
+    Paths run _BATCH at a time.
     """
     max_steps = int(math.ceil(t_max / dt))
     # larger draw blocks only amortize generator calls: the per-path normal
