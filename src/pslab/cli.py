@@ -37,18 +37,7 @@ from .geometry import (
     Polygon,
     classify_boundary,
 )
-from .hull import (
-    hausdorff_distance,
-    predicted_support,
-    relative_convex_hull,
-    relhull_grid_oracle,
-)
-from .operators import assemble_1d, assemble_2d, conjugated_spectrum_oracle
-from .spectral import (
-    eigenvalues,
-    pseudomode_localization,
-    pseudospectrum_scan,
-)
+# each runner imports the modules it computes with, so scipy loads only there
 
 # ===================================================================== #
 #  config parsing and validation
@@ -359,6 +348,8 @@ def run_classify(domain, field, params, art: Artifacts):
 
 
 def run_hull(domain, field, params, art: Artifacts):
+    from .hull import (hausdorff_distance, predicted_support,
+                       relative_convex_hull, relhull_grid_oracle)
     res, gens = params["resolution"], params["generators"]
     if gens == "gamma_plus":
         pred = predicted_support(domain, field, n_samples=params["n_samples"],
@@ -419,6 +410,7 @@ def run_quasimode(domain, field, params, art: Artifacts):
 
 
 def run_pseudospectrum(domain, field, params, art: Artifacts):
+    from .spectral import pseudospectrum_scan
     summary = {}
     for h in params["h_list"]:
         g = pseudospectrum_scan(domain, field.X, params["rect"],
@@ -438,12 +430,19 @@ def run_pseudospectrum(domain, field, params, art: Artifacts):
     art.write_json("scan_summary.json", summary)
 
 
-def run_spectrum(domain, field, params, art: Artifacts):
-    h, k = params["h"], params["k"]
+def _grid_operator(domain, field, params):
+    """P at params' h, on n interior points (1-D) or at spacing dx (2-D)."""
+    from .operators import assemble_1d, assemble_2d
     if domain.dimension == 1:
-        op = assemble_1d(domain, h, field.X, params["n"])
-    else:
-        op = assemble_2d(domain, h, field.X, params["dx"])
+        return assemble_1d(domain, params["h"], field.X, params["n"])
+    return assemble_2d(domain, params["h"], field.X, params["dx"])
+
+
+def run_spectrum(domain, field, params, art: Artifacts):
+    from .operators import conjugated_spectrum_oracle
+    from .spectral import eigenvalues
+    h, k = params["h"], params["k"]
+    op = _grid_operator(domain, field, params)
     res = eigenvalues(op, k, sigma_shift=params["shift"])
     try:
         oracle = conjugated_spectrum_oracle(domain, h, field.X, k)
@@ -457,11 +456,9 @@ def run_spectrum(domain, field, params, art: Artifacts):
 
 
 def run_pseudomode(domain, field, params, art: Artifacts):
+    from .spectral import pseudomode_localization
     z, h = complex(*params["z"]), params["h"]
-    if domain.dimension == 1:
-        op = assemble_1d(domain, h, field.X, params["n"])
-    else:
-        op = assemble_2d(domain, h, field.X, params["dx"])
+    op = _grid_operator(domain, field, params)
     sm, prof = pseudomode_localization(op, z, field)
     edges = prof.radial_edges
     art.write_csv("radial_profile.csv", {"r0": edges[:-1], "r1": edges[1:],
@@ -512,12 +509,13 @@ def run_exit_time(domain, field, params, art: Artifacts):
 def run_blowup(domain, field, params, art: Artifacts):
     from .evolution import (BLOWUP_THRESHOLD, BumpSpec, bump_initial_data,
                             evolve, subsolution_check)
+    from .spectral import eigenvalues
     h, mu, p = params["h"], params["mu"], params["p"]
     bp = params["bump"]
     spec = BumpSpec(center=bp["center"], inner_radius=bp["a"],
                     delta=bp["delta"], cap_constant=bp["cap_constant"],
                     amplitude=bp["amplitude"])
-    op = assemble_1d(domain, h, field.X, params["n"])
+    op = _grid_operator(domain, field, params)
     rep = bump_initial_data(spec, op.points, h, domain=domain, X=field.X)
     res = evolve(op, mu, p, (1.0 + params["margin"]) * rep.values,
                  params["dt"], params["t_end"],
@@ -570,6 +568,7 @@ def _check_exit_time(domain, field, p):
     _need(np.max(domain.signed_distance(np.array([p["x0"]]))) < 0,
           "params.x0", "x0 must lie inside the domain")
     if isinstance(domain, (Interval, Disk)):
+        from .operators import conjugated_spectrum_oracle
         from .sde import SUBCRITICAL_FRACTION
         # principal eigenvalue of the generator's conjugated form
         lam1 = conjugated_spectrum_oracle(domain, p["h"],

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import GeometryError, PslabError
 from .operators import GridOperator, factorize
@@ -185,6 +184,7 @@ def evolve(op: GridOperator, mu: float, p: float, u0: np.ndarray, dt0: float,
     Only the current dt's LU is kept: a dt that comes back (sup u fell, or
     the remainder onto t_end) is factorized again.
     """
+    import scipy.sparse as sp
     h = op.h
     n = op.n
     u = np.asarray(u0, dtype=float).copy()
@@ -224,11 +224,11 @@ def evolve(op: GridOperator, mu: float, p: float, u0: np.ndarray, dt0: float,
             lu_dt, lu = dt, None        # free the old factor first
             lu = factorize((I + (dt / h) * (A - mu * I)).tocsc())
         u = lu.solve(rhs)
-        if float(u.min()) < -_POSITIVITY_TOL * max(1.0, float(np.max(np.abs(u)))):
+        sup = float(np.max(np.abs(u)))
+        if float(u.min()) < -_POSITIVITY_TOL * max(1.0, sup):
             raise PslabError(
                 f"positivity lost at t = {t:.5f}: min u = {u.min():.3e}")
         t = t_end if last else t + dt
-        sup = float(np.max(np.abs(u)))
         times.append(t)
         sups.append(sup)
         while next_snap < len(want_snaps) and t >= want_snaps[next_snap] - 1e-12:

@@ -19,14 +19,16 @@ e^{-<X,x>/2h} P e^{<X,x>/2h} = -h^2*Laplace + |X|^2/4.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.special import jn_zeros
 
 from .errors import OracleUnavailableError, ResolutionError
 from .geometry import Disk, Interval
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
 
 @dataclass
@@ -55,6 +57,7 @@ class GridOperator:
 
     def shifted(self, z: complex) -> sp.csr_matrix:
         """P - z, complex even for real z."""
+        import scipy.sparse as sp
         return (self.matrix - z * sp.identity(self.n, dtype=complex,
                                               format="csr")).tocsr()
 
@@ -83,6 +86,7 @@ class GridOperator:
 
 def assemble_1d(interval: Interval, h: float, X, n: int) -> GridOperator:
     """Tridiagonal P on n interior points of the interval."""
+    import scipy.sparse as sp
     if n < 8:
         raise ResolutionError("need at least 8 interior points")
     Xv = float(np.atleast_1d(X)[0])
@@ -99,6 +103,7 @@ def assemble_1d(interval: Interval, h: float, X, n: int) -> GridOperator:
 
 def assemble_2d(domain, h: float, X, dx: float) -> GridOperator:
     """Five-point stencil with Shortley-Weller arms at the curved boundary."""
+    import scipy.sparse as sp
     Xv = np.asarray(X, dtype=float)
     diam = domain.diameter()
     if diam / dx < 16:
@@ -195,6 +200,7 @@ def factorize(A) -> spla.SuperLU:
     (SymmetricMode, 0.1) prefers the diagonal and so keeps that ordering;
     partial pivoting undoes much of it (Demmel et al., SIMAX 1999).
     """
+    import scipy.sparse.linalg as spla
     return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                      options={"SymmetricMode": True})
 
@@ -222,6 +228,7 @@ def conjugated_spectrum_oracle(domain, h: float, X, k_max: int) -> np.ndarray:
         ks = np.arange(1, k_max + 1)
         return Xn2 / 4.0 + h * h * (np.pi * ks / L) ** 2
     if isinstance(domain, Disk):
+        from scipy.special import jn_zeros
         vals = []
         for m in range(0, k_max + 6):
             zeros = jn_zeros(m, k_max)

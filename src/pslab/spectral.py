@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.spatial import cKDTree
 
 from .errors import ResolutionError
 from .geometry import classify_boundary
@@ -235,6 +234,7 @@ class LocalizationProfile:
                 raise AssertionError(f"{name} profile sums to {total}")
 
     def mass_near_points(self, pts: np.ndarray, dist: float) -> float:
+        from scipy.spatial import cKDTree
         tree = cKDTree(np.atleast_2d(pts))
         d, _ = tree.query(self.node_points)
         return float(np.sum(self.node_mass[d <= dist]))
@@ -267,6 +267,7 @@ def localization_profile(op: GridOperator, vector: np.ndarray, field_X
     else:
         dist = np.abs(domain.signed_distance(pts))
         samples = classify_boundary(domain, field_X, _ARC_SAMPLES)
+        from scipy.spatial import cKDTree
         # deep nodes are near-equidistant from every sample, so the tree
         # prunes little; the query runs on every core the process may use
         _, nearest = cKDTree(samples.points).query(

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -486,6 +488,45 @@ class TestRunner:
         assert rep["blew_up"] and rep["t_blowup"] <= 0.5
         assert rep["spectral_bound"] <= -0.04
         assert rep["subsolution"]["ok"]
+
+
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """code run by a new interpreter that imports this pslab."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env=os.environ | {"PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestColdStart:
+    """A process loads scipy only for the experiments that compute with it."""
+
+    def test_imports_load_no_scipy(self):
+        r = fresh_python(
+            "import sys, pslab.cli, pslab.evolution, pslab.sde, pslab.wkb, "
+            "pslab.operators, pslab.geometry\n"
+            "print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.split() == []
+
+    def test_numpy_only_experiments_run_without_scipy(self, tmp_path):
+        rows = ("classify", "quasimode", "quasimode-characteristic",
+                "exit-time")
+        paths = [str(write_config(tmp_path, {"experiment": row} | FROZEN[row]
+                                  | {"output_dir": str(tmp_path / row)},
+                                  f"{row}.json")) for row in rows]
+        r = fresh_python("import sys\n"
+                         "sys.modules['scipy'] = None   # any scipy import fails\n"
+                         "from pslab.cli import run\n"
+                         "sys.exit(max([run(p) for p in sys.argv[1:]]))",
+                         *paths)
+        assert r.returncode == 0, r.stderr
+        for row in rows:
+            files = json.loads((tmp_path / row / "manifest.json")
+                               .read_text())["files"]
+            assert {name: h[:16] for name, h in files.items()} \
+                == FROZEN_DIGESTS[row]
 
 
 def reference_csv(header, rows) -> bytes:
