@@ -5,8 +5,11 @@ Usage: pslab <experiment> --config <file> [--out DIR]
 Experiments: classify, hull, quasimode, pseudospectrum, spectrum, pseudomode,
 exit-time, blowup.  Each one's params keys, kinds, defaults and bounds are
 declared once in ``REGISTRY``: an integral float is accepted wherever an
-integer is, and an undeclared key is an error.  Validation failures exit with
-status 2 and name the offending key; compute failures exit with status 1.
+integer is, and an undeclared key is an error.  A key is declared only while
+some config, benchmark workload or test run sets it; a choice the lab makes
+at one value is a constant in the code (the README lists them).  A config
+that cannot be read or parsed exits with status 2, and so does one that fails
+validation, naming the offending key; compute failures exit with status 1.
 Files are written only when a run succeeds, so a failed run leaves no output
 directory.  Outputs are deterministic for a fixed config and seed: a CSV file
 has one header line, CRLF line ends, floats as %.16e (17 significant digits),
@@ -29,14 +32,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, PslabError
-from .geometry import (
-    Disk,
-    Ellipse,
-    FieldSpec,
-    Interval,
-    Polygon,
-    classify_boundary,
-)
+from .geometry import Disk, Ellipse, Interval, Polygon, classify_boundary
 # each runner imports the modules it computes with, so scipy loads only there
 
 # ===================================================================== #
@@ -96,12 +92,6 @@ def build_domain(block: dict):
     raise ConfigError("domain.type", f"unknown domain type {kind!r}")
 
 
-def build_field(block: dict, dimension: int) -> FieldSpec:
-    if not isinstance(block, dict) or "X" not in block:
-        raise ConfigError("field.X", "missing key")
-    return FieldSpec(numbers(block["X"], "field.X", (dimension,)))
-
-
 def _need(ok: bool, key: str, message: str):
     if not ok:
         raise ConfigError(key, message)
@@ -111,16 +101,16 @@ REQUIRED = object()
 # A declared params key: ``kind`` numbers (int or float), an array of them
 # when ``shape`` is given ("d" is the domain dimension), or a nested block (a
 # dict of Keys); a value in ``choices`` is taken as it is.  ``default`` is a
-# value or a function of (the params read so far, the field); a block's
+# value or a function of (the params read so far, the field X); a block's
 # default is the block its keys' defaults fill in.  ``bound`` is (predicate,
 # message); ``dim`` limits the key to domains of that dimension.
 Key = namedtuple("Key", "kind default bound shape choices dim",
                  defaults=(float, REQUIRED, None, None, (), None))
 
 
-def _read(val, name: str, key: Key, domain, field):
+def _read(val, name: str, key: Key, domain, X):
     if isinstance(key.kind, dict):
-        return _read_block(val, key.kind, name, domain, field)
+        return _read_block(val, key.kind, name, domain, X)
     if val in key.choices:
         return val
     _need(key.shape is not None or not key.choices, name,
@@ -138,7 +128,7 @@ def _read(val, name: str, key: Key, domain, field):
     return val
 
 
-def _read_block(raw, keys: dict, prefix: str, domain, field) -> dict:
+def _read_block(raw, keys: dict, prefix: str, domain, X) -> dict:
     """raw read against its declared keys: every key that applies to the
     domain present, int keys as int, float keys as float, arrays as lists."""
     _need(isinstance(raw, dict), prefix, "expected an object")
@@ -151,28 +141,31 @@ def _read_block(raw, keys: dict, prefix: str, domain, field) -> dict:
         val = raw.get(name, key.default)
         _need(val is not REQUIRED, f"{prefix}.{name}", "missing key")
         if name in raw or isinstance(key.kind, dict):
-            val = _read(val, f"{prefix}.{name}", key, domain, field)
-        out[name] = val(out, field) if callable(val) else val
+            val = _read(val, f"{prefix}.{name}", key, domain, X)
+        out[name] = val(out, X) if callable(val) else val
     return out
 
 
 def validate(config: dict):
-    """(domain, field, params) of a config; params holds every key the
-    experiment declares, normalized, with its default where absent."""
+    """(domain, X, params) of a config: X is the field as a float array, and
+    params holds every key the experiment declares, normalized, with its
+    default where absent."""
     _need(isinstance(config, dict), "config", "expected a JSON object")
     exp = config.get("experiment")
     _need(exp in EXPERIMENTS, "experiment", f"must be one of {EXPERIMENTS}")
     _need(isinstance(config.get("output_dir", ""), str), "output_dir",
           "expected a path string")
     domain = build_domain(config.get("domain", {}))
-    field = build_field(config.get("field", {"X": [1.0] * domain.dimension}),
-                        domain.dimension)
-    _need(field.norm > 0.0 or exp == "hull", "field.X", "field must be nonzero")
+    field = config.get("field", {"X": [1.0] * domain.dimension})
+    _need(isinstance(field, dict) and "X" in field, "field.X", "missing key")
+    X = numbers(field["X"], "field.X", (domain.dimension,))
+    _need(np.linalg.norm(X) > 0.0 or exp == "hull", "field.X",
+          "field must be nonzero")
     spec = REGISTRY[exp]
     params = _read_block(config.get("params", {}), spec.keys, "params",
-                         domain, field)
-    spec.check(domain, field, params)
-    return domain, field, params
+                         domain, X)
+    spec.check(domain, X, params)
+    return domain, X, params
 
 
 # ===================================================================== #
@@ -340,19 +333,19 @@ def _xy(points, x="x", y="y") -> dict:
     return {x: pts[:, 0], y: pts[:, 1]}
 
 
-def run_classify(domain, field, params, art: Artifacts):
-    s = classify_boundary(domain, field, params["n_samples"], tol=params["tol"])
+def run_classify(domain, X, params, art: Artifacts):
+    s = classify_boundary(domain, X, params["n_samples"])
     art.write_csv("boundary.csv", {
         "t": s.t, **_xy(s.points), **_xy(s.normals, "nu_x", "nu_y"),
         "curvature": s.curvature, "class": s.classes})
 
 
-def run_hull(domain, field, params, art: Artifacts):
+def run_hull(domain, X, params, art: Artifacts):
     from .hull import (hausdorff_distance, predicted_support,
                        relative_convex_hull, relhull_grid_oracle)
     res, gens = params["resolution"], params["generators"]
     if gens == "gamma_plus":
-        pred = predicted_support(domain, field, n_samples=params["n_samples"],
+        pred = predicted_support(domain, X, n_samples=params["n_samples"],
                                  resolution=res)
         hull, arcs = pred.hull, pred.hull_arcs
         a = np.reshape(pred.tight_arcs, (-1, 2))
@@ -373,13 +366,11 @@ def run_hull(domain, field, params, art: Artifacts):
                         "passed": bool(d <= 2 * spacing)})
 
 
-def run_quasimode(domain, field, params, art: Artifacts):
+def run_quasimode(domain, X, params, art: Artifacts):
     from .wkb import build_quasimode, quasimode_residual
     z, h = complex(*params["z"]), params["h"]
-    q = build_quasimode(domain, field, params["x0"], z, h,
-                        order=params["order"], n_max=params["n_max"],
-                        a_param=params["a_param"], eps=params["eps"],
-                        radii=params["radii"], backend=params["backend"])
+    q = build_quasimode(domain, X, params["x0"], z, h, order=params["order"],
+                        n_max=params["n_max"], backend=params["backend"])
     rep = quasimode_residual(q)
     nx, ny = params["grid"]["nx"], params["grid"]["ny"]
     x0c = q.frame.x0
@@ -409,18 +400,19 @@ def run_quasimode(domain, field, params, art: Artifacts):
     })
 
 
-def run_pseudospectrum(domain, field, params, art: Artifacts):
+def run_pseudospectrum(domain, X, params, art: Artifacts):
     from .spectral import pseudospectrum_scan
     summary = {}
-    for h in params["h_list"]:
-        g = pseudospectrum_scan(domain, field.X, params["rect"],
-                                params["resolution"], [h], params["dx_rule"])[0]
+    h_list = params["h_list"]
+    grids = pseudospectrum_scan(domain, X, params["rect"],
+                                params["resolution"], h_list)
+    for h, g in zip(h_list, grids):
         re_z, im_z = np.meshgrid(g.re_values, g.im_values)
         art.write_csv(f"pseudospectrum_h{h:g}.csv", {
             "re_z": re_z.ravel(), "im_z": im_z.ravel(),
             "sigma_min": g.sigma.ravel(), "in_region": g.in_region.ravel()})
         svg = emit_svg_heatmap(g.re_values, g.im_values, g.sigma,
-                               field_norm=field.norm,
+                               field_norm=float(np.linalg.norm(X)),
                                title=f"log10 sigma_min, h = {h:g}")
         art.write_bytes(f"heatmap_h{h:g}.svg", svg.encode())
         summary[str(h)] = {"min_sigma": float(g.sigma.min()),
@@ -430,22 +422,22 @@ def run_pseudospectrum(domain, field, params, art: Artifacts):
     art.write_json("scan_summary.json", summary)
 
 
-def _grid_operator(domain, field, params):
+def _grid_operator(domain, X, params):
     """P at params' h, on n interior points (1-D) or at spacing dx (2-D)."""
     from .operators import assemble_1d, assemble_2d
     if domain.dimension == 1:
-        return assemble_1d(domain, params["h"], field.X, params["n"])
-    return assemble_2d(domain, params["h"], field.X, params["dx"])
+        return assemble_1d(domain, params["h"], X, params["n"])
+    return assemble_2d(domain, params["h"], X, params["dx"])
 
 
-def run_spectrum(domain, field, params, art: Artifacts):
+def run_spectrum(domain, X, params, art: Artifacts):
     from .operators import conjugated_spectrum_oracle
     from .spectral import eigenvalues
     h, k = params["h"], params["k"]
-    op = _grid_operator(domain, field, params)
+    op = _grid_operator(domain, X, params)
     res = eigenvalues(op, k, sigma_shift=params["shift"])
     try:
-        oracle = conjugated_spectrum_oracle(domain, h, field.X, k)
+        oracle = conjugated_spectrum_oracle(domain, h, X, k)
     except PslabError:
         oracle = np.full(k, np.nan)
     vals = res.values
@@ -455,11 +447,11 @@ def run_spectrum(domain, field, params, art: Artifacts):
                    {"converged": res.converged, "k": k, "h": h})
 
 
-def run_pseudomode(domain, field, params, art: Artifacts):
+def run_pseudomode(domain, X, params, art: Artifacts):
     from .spectral import pseudomode_localization
     z, h = complex(*params["z"]), params["h"]
-    op = _grid_operator(domain, field, params)
-    sm, prof = pseudomode_localization(op, z, field)
+    op = _grid_operator(domain, X, params)
+    sm, prof = pseudomode_localization(op, z, X)
     edges = prof.radial_edges
     art.write_csv("radial_profile.csv", {"r0": edges[:-1], "r1": edges[1:],
                                          "mass": prof.radial_mass})
@@ -476,7 +468,7 @@ def run_pseudomode(domain, field, params, art: Artifacts):
     })
 
 
-def run_exit_time(domain, field, params, art: Artifacts):
+def run_exit_time(domain, X, params, art: Artifacts):
     from .sde import (exit_mgf_bvp_1d, mgf_estimate, simulate_exit_ensemble,
                       survival_probability)
     h, lam = params["h"], params["lambda"]
@@ -506,7 +498,7 @@ def run_exit_time(domain, field, params, art: Artifacts):
             "lo": [sv.lower for sv in svs], "hi": [sv.upper for sv in svs]})
 
 
-def run_blowup(domain, field, params, art: Artifacts):
+def run_blowup(domain, X, params, art: Artifacts):
     from .evolution import (BLOWUP_THRESHOLD, BumpSpec, bump_initial_data,
                             evolve, subsolution_check)
     from .spectral import eigenvalues
@@ -515,11 +507,12 @@ def run_blowup(domain, field, params, art: Artifacts):
     spec = BumpSpec(center=bp["center"], inner_radius=bp["a"],
                     delta=bp["delta"], cap_constant=bp["cap_constant"],
                     amplitude=bp["amplitude"])
-    op = _grid_operator(domain, field, params)
-    rep = bump_initial_data(spec, op.points, h, domain=domain, X=field.X)
-    res = evolve(op, mu, p, (1.0 + params["margin"]) * rep.values,
-                 params["dt"], params["t_end"],
-                 snapshot_times=params["snapshot_times"])
+    op = _grid_operator(domain, X, params)
+    rep = bump_initial_data(spec, op.points, h, domain=domain, X=X)
+    # start 2% above the bump; snapshot every 0.05 up to delta
+    snapshots = np.round(np.arange(0.05, bp["delta"], 0.05), 10)
+    res = evolve(op, mu, p, 1.02 * rep.values, params["dt"], params["t_end"],
+                 snapshot_times=snapshots)
     lam = eigenvalues(op, 5, sigma_shift=mu + 0.05).values
     spectral_bound = float(np.max(-(lam.real - mu)))
     times = sorted(res.snapshots)
@@ -535,8 +528,7 @@ def run_blowup(domain, field, params, art: Artifacts):
         "bump_peak": rep.peak, "bump_cap": rep.cap,
     }
     if params["alpha"] is not None:
-        comp = subsolution_check(res, spec, params["alpha"], field.X,
-                                 op.points)
+        comp = subsolution_check(res, spec, params["alpha"], X, op.points)
         report["subsolution"] = {
             "ok": comp.ok, "through_t": max(comp.checked_times, default=0.0),
             "worst_margin": comp.worst_margin,
@@ -544,25 +536,26 @@ def run_blowup(domain, field, params, art: Artifacts):
     art.write_json("blowup_report.json", report)
 
 
-def _check_region(field, p, message="z must be strictly inside the region"):
-    _need(p["z"][0] > p["z"][1] ** 2 / field.norm ** 2, "params.z", message)
+def _check_region(X, p, message="z must be strictly inside the region"):
+    _need(p["z"][0] > p["z"][1] ** 2 / float(np.linalg.norm(X)) ** 2,
+          "params.z", message)
 
 
-def _check_quasimode(domain, field, p):
-    _check_region(field, p, "no-quasimode condition violated: quasimodes exist "
+def _check_quasimode(domain, X, p):
+    _check_region(X, p, "no-quasimode condition violated: quasimodes exist "
                   "only for Re z > (Im z)^2/|X|^2; on the boundary parabola "
                   "there are none")
     _need(p["backend"] == "jet" or isinstance(domain, Disk), "params.backend",
           "the characteristic backend needs a disk domain")
 
 
-def _check_spectrum(domain, field, p):
+def _check_spectrum(domain, X, p):
     if domain.dimension == 1:
         _need(p["k"] <= p["n"] // 4, "params.k",
               f"need k <= n // 4 = {p['n'] // 4}")
 
 
-def _check_exit_time(domain, field, p):
+def _check_exit_time(domain, X, p):
     _need(p["dt"] <= p["h"] ** 2 / 4.0, "params.dt",
           "dt must not exceed h^2/4 to resolve the dynamics")
     _need(np.max(domain.signed_distance(np.array([p["x0"]]))) < 0,
@@ -580,13 +573,13 @@ def _check_exit_time(domain, field, p):
           "survival thresholds s / lambda need lambda > 0")
 
 
-def _check_blowup(domain, field, p):
+def _check_blowup(domain, X, p):
     _need(domain.dimension == 1, "domain", "blow-up runs on an interval")
     _need(p["alpha"] is None or 0 < p["alpha"] < p["mu"], "params.alpha",
           "the subsolution rate needs 0 < alpha < mu")
 
 
-def _default_t_max(p, field):
+def _default_t_max(p, X):
     from .sde import default_t_max
     return default_t_max(p["h"], p["lambda"]) if p["lambda"] > 0 else 100.0
 
@@ -595,16 +588,16 @@ POSITIVE = (lambda v: v > 0, "must be positive")
 POSITIVE_FLOAT = Key(float, REQUIRED, POSITIVE)
 Z, X0 = Key(shape=(2,)), Key(shape=("d",))
 N = Key(int, 2000, POSITIVE, dim=1)
-DX = Key(float, lambda p, field: p["h"] / 8, POSITIVE, dim=2)
+DX = Key(float, lambda p, X: p["h"] / 8, POSITIVE, dim=2)
 
 # The experiment registry: its runner, a declaration of every params key the
 # runner reads, and the conditions across keys, checked once all are read.
 Experiment = namedtuple("Experiment", "run keys check",
-                        defaults=[lambda domain, field, p: None])
+                        defaults=[lambda domain, X, p: None])
 REGISTRY = {
     "classify": Experiment(run_classify, {
-        "n_samples": Key(int), "tol": Key(float, 1e-10, POSITIVE),
-    }, lambda domain, field, p: _need(
+        "n_samples": Key(int),
+    }, lambda domain, X, p: _need(
         domain.dimension == 1 or p["n_samples"] >= 8, "params.n_samples",
         "need at least 8 samples")),
     "hull": Experiment(run_hull, {
@@ -612,18 +605,13 @@ REGISTRY = {
         "n_samples": Key(int, 1024, POSITIVE),
         "resolution": Key(float, None, POSITIVE),
         "oracle_spacing": Key(float, None, POSITIVE),
-    }, lambda domain, field, p: _need(
+    }, lambda domain, X, p: _need(
         domain.dimension == 2, "domain", "hulls need a planar domain")),
     "quasimode": Experiment(run_quasimode, {
         "z": Z, "h": POSITIVE_FLOAT, "x0": X0,
         "order": Key(int, 4, (lambda v: v >= 2, "need an int >= 2")),
         "n_max": Key(int, 0, (lambda v: v >= 0, "need an int >= 0")),
         "backend": Key(default="jet", choices=("jet", "characteristic")),
-        "a_param": Key(float, 0.5, (lambda v: -1 < v < 1,
-                                    "must lie in (-1, 1)")),
-        "eps": Key(float, 1.0, POSITIVE),
-        "radii": Key(float, None, (lambda r: 0 < r[0] < r[1],
-                                   "need 0 < r_inner < r_outer"), (2,)),
         "grid": Key({"nx": Key(int, 160, POSITIVE),
                      "ny": Key(int, 120, POSITIVE)}, {}),
     }, _check_quasimode),
@@ -634,8 +622,6 @@ REGISTRY = {
                                       "need [re0, re1, im0, im1]"), (4,)),
         "resolution": Key(int, REQUIRED, (lambda r: min(r) >= 1,
                                           "need [n_re, n_im] counts"), (2,)),
-        "dx_rule": Key(float, 8.0, (lambda v: v >= 8,
-                                    "scan requires dx <= h/8 (dx_rule >= 8)")),
     }),
     "spectrum": Experiment(run_spectrum, {
         "h": POSITIVE_FLOAT, "k": Key(int, REQUIRED, POSITIVE),
@@ -643,9 +629,8 @@ REGISTRY = {
     }, _check_spectrum),
     "pseudomode": Experiment(run_pseudomode, {
         "z": Z, "h": POSITIVE_FLOAT, "dx": DX,
-        "n": Key(int, lambda p, field: int(round(8 / p["h"])), POSITIVE,
-                 dim=1),
-    }, lambda domain, field, p: _check_region(field, p)),
+        "n": Key(int, lambda p, X: int(round(8 / p["h"])), POSITIVE, dim=1),
+    }, lambda domain, X, p: _check_region(X, p)),
     "exit-time": Experiment(run_exit_time, {
         "h": POSITIVE_FLOAT, "dt": POSITIVE_FLOAT,
         "n_paths": Key(int, REQUIRED, (lambda v: v >= 2,
@@ -653,8 +638,7 @@ REGISTRY = {
         # the first word of a path's Philox key
         "seed": Key(int, REQUIRED, (lambda v: 0 <= v < 2 ** 64,
                                     "seed must lie in [0, 2^64)")),
-        "x0": X0, "b": Key(float, lambda p, field: (-field.X).tolist(),
-                           shape=("d",)),
+        "x0": X0, "b": Key(float, lambda p, X: (-X).tolist(), shape=("d",)),
         "lambda": Key(float, REQUIRED, (lambda v: v >= 0,
                                         "lambda must be nonnegative")),
         "t_max": Key(float, _default_t_max, POSITIVE),
@@ -669,9 +653,7 @@ REGISTRY = {
                      "cap_constant": Key(float, None, POSITIVE),
                      "amplitude": Key(float, None, POSITIVE)}),
         "n": N, "dt": Key(float, 2e-4, POSITIVE),
-        "t_end": Key(float, 1.0, POSITIVE), "margin": Key(float, 0.02),
-        "snapshot_times": Key(float, lambda p, field: np.round(np.arange(
-            0.05, p["bump"]["delta"], 0.05), 10).tolist(), shape=(None,)),
+        "t_end": Key(float, 1.0, POSITIVE),
     }, _check_blowup),
 }
 EXPERIMENTS = tuple(REGISTRY)
@@ -681,19 +663,22 @@ EXPERIMENTS = tuple(REGISTRY)
 #  entry point
 # ===================================================================== #
 
-def run(config_path: str, out_dir: str | None = None) -> int:
-    path = Path(config_path)
-    if not path.exists():
-        print(f"config not found: {config_path}", file=sys.stderr)
-        return 2
-    raw = path.read_text()
+def run(config_path: str, out_dir: str | None = None,
+        experiment: str | None = None) -> int:
+    """Run a config; given ``experiment``, the config must name it."""
     try:
+        raw = Path(config_path).read_text(encoding="utf-8")
         config = json.loads(raw)
-    except json.JSONDecodeError as e:
-        print(f"config does not parse: {e}", file=sys.stderr)
+    except (OSError, ValueError) as e:     # missing, a directory, not UTF-8
+        print(f"config unreadable: {e}", file=sys.stderr)
+        return 2
+    named = config.get("experiment") if isinstance(config, dict) else None
+    if experiment is not None and named != experiment:
+        print(f"config experiment {named!r} does not match "
+              f"command {experiment!r}", file=sys.stderr)
         return 2
     try:
-        domain, field, params = validate(config)
+        domain, X, params = validate(config)
     except ConfigError as e:
         print(f"validation failed: {e}", file=sys.stderr)
         return 2
@@ -701,7 +686,7 @@ def run(config_path: str, out_dir: str | None = None) -> int:
                or config.get("output_dir", "pslab_out"))
     art = Artifacts(out, raw)
     try:
-        REGISTRY[config["experiment"]].run(domain, field, params, art)
+        REGISTRY[named].run(domain, X, params, art)
     except PslabError as e:
         print(f"compute failed: {e}", file=sys.stderr)
         return 1
@@ -718,18 +703,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
-    # the experiment name on the command line must match the config
-    try:
-        cfg = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"config unreadable: {e}", file=sys.stderr)
-        return 2
-    exp = cfg.get("experiment") if isinstance(cfg, dict) else None
-    if exp != args.experiment:
-        print(f"config experiment {exp!r} does not match "
-              f"command {args.experiment!r}", file=sys.stderr)
-        return 2
-    return run(args.config, out_dir=args.out)
+    return run(args.config, out_dir=args.out, experiment=args.experiment)
 
 
 if __name__ == "__main__":

@@ -109,7 +109,6 @@ class BumpSpec:
 class BumpReport:
     values: np.ndarray
     peak: float
-    floor: float
     cap: float
     ineq_constant: float       # smallest C with -Lap w0 <= C w0 - beta inside
     ineq_beta: float
@@ -150,7 +149,7 @@ def bump_initial_data(spec: BumpSpec, grid_points: np.ndarray, h: float,
         beta = float(np.min(C * ws[sel] + lap[sel]))
     else:
         C, beta = np.nan, np.nan   # spot check is one-dimensional here
-    return BumpReport(w0, peak, floor, cap, C, beta)
+    return BumpReport(w0, peak, cap, C, beta)
 
 
 # ===================================================================== #

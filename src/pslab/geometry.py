@@ -5,8 +5,8 @@ curve: disk, ellipse, user-supplied parametric curve, or simple polygon.
 The boundary carries a parameter t in [0,1) increasing counterclockwise.
 
 Against a constant vector field X, boundary points split into illuminated
-(<X,nu> > 0), shadow (<X,nu> < 0) and glancing (|<X,nu>| <= tol) parts,
-where nu is the outward unit normal.  ``classify_boundary`` returns the
+(<X,nu> > 0), shadow (<X,nu> < 0) and glancing (|<X,nu>| <= GLANCING_TOL)
+parts, where nu is the outward unit normal.  ``classify_boundary`` returns the
 samples as columns (``BoundarySamples``): parameters, points, normals,
 curvatures and classes.  ``boundary_frame`` builds the local orthonormal
 frame used by the phase construction: nu, the tangent (the unit tangential
@@ -30,36 +30,6 @@ from .jets import Jet
 GLANCING_TOL = 1e-10
 _ON_BOUNDARY_TOL = 1e-10
 INSIDE_TOL = 1e-9       # closed-domain membership, relative to the diameter
-
-
-# ===================================================================== #
-#  field
-# ===================================================================== #
-
-@dataclass
-class FieldSpec:
-    """Constant field X of the operator and the quasimodes."""
-
-    X: np.ndarray
-
-    def __post_init__(self):
-        self.X = np.atleast_1d(np.asarray(self.X, dtype=float))
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.X))
-
-    def unit(self) -> np.ndarray:
-        n = self.norm
-        if n == 0.0:
-            raise InvalidFieldError("field X must be nonzero")
-        return self.X / n
-
-
-def _as_field(field_like) -> FieldSpec:
-    if isinstance(field_like, FieldSpec):
-        return field_like
-    return FieldSpec(np.asarray(field_like, dtype=float))
 
 
 # ===================================================================== #
@@ -114,7 +84,7 @@ class _PlanarDomain:
     def _polyline(self, n: int) -> np.ndarray:
         return self.boundary_points(np.arange(n) / n)
 
-    def polygonize(self, n: int = 512) -> "Polygon":
+    def polygonize(self, n: int) -> "Polygon":
         return Polygon(self._polyline(n))
 
     def signed_distance(self, pts) -> np.ndarray:
@@ -341,7 +311,7 @@ class Polygon:
         s = self.cum[k] + tt[k] * self.edge_len[k]
         return float((s / self.perimeter) % 1.0)
 
-    def polygonize(self, n: int = 512):
+    def polygonize(self, n: int):
         return self
 
     def diameter(self):
@@ -515,15 +485,14 @@ class BoundaryFrame:
         return acc
 
 
-def classify_boundary(domain, field_like, n: int,
-                      tol: float = GLANCING_TOL) -> BoundarySamples:
-    """Sample the boundary and classify each sample against the field.
+def classify_boundary(domain, X, n: int) -> BoundarySamples:
+    """Sample the boundary and classify each sample against the field X.
 
     Samples are ordered by boundary parameter.  In one dimension they are
     the two endpoints (left first, t = 0 and 1) and ``n`` is not used.
     """
-    field = _as_field(field_like)
-    if field.norm == 0.0:
+    X = np.asarray(X, dtype=float)
+    if np.linalg.norm(X) == 0.0:
         raise InvalidFieldError("field X must be nonzero for classification")
     if domain.dimension == 1:
         ts = np.array([0.0, 1.0])
@@ -537,16 +506,19 @@ def classify_boundary(domain, field_like, n: int,
         pts = domain.boundary_points(ts)
         nus = domain.boundary_normal(ts)
         ks = domain.boundary_curvature(ts)
-    vals = nus @ field.X
-    classes = np.where(vals > tol, "illuminated",
-                       np.where(vals < -tol, "shadow", "glancing"))
+    vals = nus @ X
+    classes = np.where(vals > GLANCING_TOL, "illuminated",
+                       np.where(vals < -GLANCING_TOL, "shadow", "glancing"))
     return BoundarySamples(ts, pts, nus, ks, classes)
 
 
-def boundary_frame(domain, field_like, x0) -> BoundaryFrame:
+def boundary_frame(domain, X, x0) -> BoundaryFrame:
     """Local frame at a boundary point: normal, tangent, nu1 and X'."""
-    field = _as_field(field_like)
-    xhat = field.unit()
+    X = np.asarray(X, dtype=float)
+    norm = float(np.linalg.norm(X))
+    if norm == 0.0:
+        raise InvalidFieldError("field X must be nonzero")
+    xhat = X / norm
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     scale = max(domain.diameter(), 1.0)
 

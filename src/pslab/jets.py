@@ -79,8 +79,6 @@ class Jet:
         return out
 
     def __sub__(self, other):
-        if np.isscalar(other):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):

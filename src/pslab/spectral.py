@@ -126,9 +126,8 @@ def _operator_for(domain, h: float, X, dx: float) -> GridOperator:
 
 
 def pseudospectrum_scan(domain, X, rect: tuple, resolution: tuple,
-                        h_values: Sequence[float],
-                        dx_rule: float = 8.0) -> list[PseudospectrumGrid]:
-    """sigma_min over a z-rectangle for each h; dx = h / dx_rule.
+                        h_values: Sequence[float]) -> list[PseudospectrumGrid]:
+    """sigma_min over a z-rectangle for each h; dx = h / 8.
 
     rect = (re_min, re_max, im_min, im_max); resolution = (n_re, n_im).
     """
@@ -137,7 +136,7 @@ def pseudospectrum_scan(domain, X, rect: tuple, resolution: tuple,
     res = np.linalg.norm(np.atleast_1d(np.asarray(X, dtype=float)))
     out = []
     for h in h_values:
-        op = _operator_for(domain, h, X, h / dx_rule)
+        op = _operator_for(domain, h, X, h / 8)
         res_vals = np.linspace(re_min, re_max, n_re)
         im_vals = np.linspace(im_min, im_max, n_im)
         # sigma, at_floor and converged of each z

@@ -55,6 +55,9 @@ from .geometry import BoundaryFrame, Disk, boundary_frame, boundary_graph_jet
 from .jets import Jet
 
 _SEED_TOL = 1e-10
+# the phase seed's tangential momentum for a real z off normal incidence,
+# as a share of nu1 sqrt(Re z) in unit-field units
+TANGENTIAL_SHARE = 0.5
 _COLLAR_SAMPLES = 400       # boundary samples of the cutoff collar check
 _INTERIOR_SAMPLES = 41      # tangential samples of its interior lattice
 _INTERIOR_DEPTHS = 20       # depths below the boundary graph per sample
@@ -126,15 +129,13 @@ class PhaseSeed:
 
 
 def phase_seed(frame: BoundaryFrame, sp: SpectralPoint,
-               a_param: float = 0.5, eps: float = 1.0) -> PhaseSeed:
+               eps: float = 1.0) -> PhaseSeed:
     """Solve the boundary covector problem at x0 for both normal momenta.
 
     Preconditions: z strictly inside the region, z distinct from the
     excluded value <X(x0), nu(x0)>^2 / 4, x0 illuminated, and in d=1
     additionally Im z != 0 or Re z < <X,nu>^2/4.
     """
-    if not -1.0 < a_param < 1.0:
-        raise ValueError("a_param must lie in (-1, 1)")
     if eps <= 0:
         raise ValueError("eps must be positive")
     d = frame.dimension
@@ -164,7 +165,7 @@ def phase_seed(frame: BoundaryFrame, sp: SpectralPoint,
     if zh.imag != 0.0:
         lam = zh.imag * xp
     elif nu1 < 1.0 - 1e-12:
-        lam = nu1 * math.sqrt(zh.real) * a_param
+        lam = nu1 * math.sqrt(zh.real) * TANGENTIAL_SHARE
     elif zh.real < 0.25:
         lam = 0.0
     else:
@@ -177,7 +178,7 @@ def phase_seed(frame: BoundaryFrame, sp: SpectralPoint,
     if not 0.0 < c < nu1 / 2.0:
         raise NoQuasimodeError(
             f"degenerate normal momentum (c = {c:.3e}); z too close to the "
-            "region boundary or a_param = 0 with real z")
+            "region boundary")
     roots_c = np.array([c, -c])
     beta = roots_c - nu1 / 2.0
     num = zh.imag - xp * lam
@@ -468,20 +469,17 @@ def collar_check(phases, cutoff: Cutoff) -> bool:
     return not any(np.any(ph.phase_data(pts, w)[0].imag <= 0.0) for ph in phases)
 
 
-def build_quasimode(domain, field_like, x0, z: complex, h: float,
-                    order: int = 4, n_max: int = 0, a_param: float = 0.5,
-                    eps: float = 1.0, radii: Optional[tuple] = None,
+def build_quasimode(domain, X, x0, z: complex, h: float,
+                    order: int = 4, n_max: int = 0, eps: float = 1.0,
                     backend: str = "jet") -> Quasimode:
     """One-stop construction used by the CLI and the test fixtures.
 
-    The cutoff radii default to 0.15 and 0.3 domain diameters and shrink
+    The cutoff radii start at 0.15 and 0.30 domain diameters and shrink
     until Im(phase) is positive on the collar.
     """
-    from .geometry import _as_field
-    fieldspec = _as_field(field_like)
-    sp = SpectralPoint(z, h, fieldspec.X)
-    frame = boundary_frame(domain, fieldspec, x0)
-    seed = phase_seed(frame, sp, a_param=a_param, eps=eps)
+    sp = SpectralPoint(z, h, X)
+    frame = boundary_frame(domain, X, x0)
+    seed = phase_seed(frame, sp, eps=eps)
     graph = boundary_graph_jet(domain, frame, order)
     p1, p2 = solve_eikonal_jet(seed, graph, order)
     if backend == "jet":
@@ -494,7 +492,7 @@ def build_quasimode(domain, field_like, x0, z: complex, h: float,
     amps = (solve_transport_jet(p1, n_max, order),
             solve_transport_jet(p2, n_max, order))
     diameter = domain.diameter()
-    r_in, r_out = (0.15 * diameter, 0.30 * diameter) if radii is None else radii
+    r_in, r_out = 0.15 * diameter, 0.30 * diameter
     cut = Cutoff(r_in, r_out)
     while not collar_check(phases, cut):
         r_in *= 0.75

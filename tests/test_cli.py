@@ -245,6 +245,7 @@ class TestRunner:
         ("classify", "params", {"tol": "x"}, "params.tol"),
         ("blowup", "params", {"snapshot_times": ["x"]},
          "params.snapshot_times"),
+        ("blowup", "params", {"margin": 0.02}, "params.margin"),
         ("exit-time", "params", {"survival_s": 0.1}, "params.survival_s"),
         ("hull", "params", {"generators": "corners"}, "params.generators"),
         ("spectrum", "params", {"n": 12, "k": 5}, "params.k"),
@@ -295,7 +296,8 @@ class TestRunner:
             "order-one", "order-string", "n_max-negative", "radii-reversed",
             "a_param-two", "eps-zero", "grid-nx-string", "spectrum-n-string",
             "t_end-string", "t_max-string", "oracle_spacing-string",
-            "tol-string", "snapshot_times-strings", "survival_s-scalar",
+            "tol-string", "snapshot_times-strings", "margin-retired",
+            "survival_s-scalar",
             "generators-string", "spectrum-k-over-quarter-n",
             "characteristic-ellipse", "characteristic-interval",
             "seed-beyond-philox-key", "lambda-above-principal-eigenvalue",
@@ -413,6 +415,23 @@ class TestRunner:
     def test_cli_main_classify(self, tmp_path):
         cfg = write_config(tmp_path, classify_config(tmp_path / "out"))
         assert main(["classify", "--config", str(cfg)]) == 0
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, classify_config(tmp_path / "out"))
+        cfg.write_bytes(cfg.read_bytes().replace(b'"classify"',
+                                                 b'"classify\xff"'))
+        assert run(str(cfg)) == 2
+        assert main(["classify", "--config", str(cfg)]) == 2
+        assert "config unreadable" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(str(tmp_path), out_dir=str(out)) == 2
+        assert main(["classify", "--config", str(tmp_path),
+                     "--out", str(out)]) == 2
+        assert "config unreadable" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_spectrum_experiment(self, tmp_path):
         cfg = write_config(tmp_path, {

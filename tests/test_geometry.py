@@ -6,7 +6,6 @@ from pslab.geometry import (
     BoundaryFrame,
     Disk,
     Ellipse,
-    FieldSpec,
     Interval,
     ParametricCurve,
     Polygon,
