@@ -105,6 +105,15 @@ FROZEN = {
                   "params": {"h": 0.05, "dt": 6.25e-4, "seed": 7,
                              "n_paths": 40, "x0": [0.1], "lambda": 0.1,
                              "survival_s": [0.05, 0.1]}},
+    # a polyline domain: every step's signed distance queries the 4,096-gon
+    "exit-time-ellipse": {"experiment": "exit-time",
+                          "domain": {"type": "ellipse", "center": [0.1, -0.2],
+                                     "semi_axes": [1.2, 0.7], "angle": 0.4},
+                          "field": {"X": [-0.4, 0.0]},
+                          "params": {"b": [0.4, 0.0], "h": 0.1, "dt": 2e-3,
+                                     "seed": 1, "n_paths": 8,
+                                     "x0": [0.1, -0.2], "lambda": 0.05,
+                                     "t_max": 2.0}},
     "blowup": {"domain": INTERVAL, "field": {"X": [1.0]},
                "params": {"h": 0.01, "mu": 0.2, "p": 2, "n": 400,
                           "t_end": 0.3,
@@ -146,6 +155,8 @@ FROZEN_DIGESTS = {
     "exit-time": {"estimate.json": "ffef0f927208d275",
                   "samples.csv": "e1a516c7b8874ef1",
                   "survival.csv": "8b35c0a3079a0a0d"},
+    "exit-time-ellipse": {"estimate.json": "d343e8a1d63f03c3",
+                          "samples.csv": "803962a3a0c7cde6"},
     "blowup": {"blowup_report.json": "0c44b3e4421c09ad",
                "trajectory.csv": "6f0e6ec513ce9dea"},
 }
@@ -531,7 +542,7 @@ class TestColdStart:
 
     def test_numpy_only_experiments_run_without_scipy(self, tmp_path):
         rows = ("classify", "quasimode", "quasimode-characteristic",
-                "exit-time")
+                "exit-time", "exit-time-ellipse")
         paths = [str(write_config(tmp_path, {"experiment": row} | FROZEN[row]
                                   | {"output_dir": str(tmp_path / row)},
                                   f"{row}.json")) for row in rows]

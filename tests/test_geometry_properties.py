@@ -2,7 +2,8 @@
 with an independent membership test (on a disk, an ellipse, a
 ``ParametricCurve`` tracing an ellipse and an L-shaped polygon), and
 ``classify_boundary`` is equivariant under a rotation of an ellipse
-together with its field.
+together with its field.  The polyline helpers behind ``signed_distance``
+return, bit for bit, what an all-edges scan returns.
 
 Curved domains measure distance to their inscribed 4,096-gon, which lies
 within one sagitta of the true boundary, so the sign test only draws points
@@ -19,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pslab.geometry import (GLANCING_TOL, Disk, Ellipse, ParametricCurve,
-                            Polygon, classify_boundary)
+                            Polygon, _dist_to_polyline, _inside_polygon,
+                            _polyline_self_intersects, classify_boundary)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40,
                     deadline=None)
@@ -133,3 +135,174 @@ def test_classification_rotates_with_ellipse(cx, cy, a, b, angle, phi, psi,
         v = float(np.dot(X, nu))
         if min(abs(v - GLANCING_TOL), abs(v + GLANCING_TOL)) > 1e-9:
             assert c1 == c0
+
+
+# ------------------------------------------------------------------ #
+#  polyline helpers against all-edges references
+# ------------------------------------------------------------------ #
+
+POLYLINE = settings(derandomize=True, database=None, max_examples=12,
+                    deadline=None)
+
+LSHAPE = np.array([(0, 0), (2, 0), (2, 2), (1, 2), (1, 1), (0, 1)], float)
+ZSHAPE = np.array([(0, 0), (2, 0), (2, 1), (3, 1), (3, 2), (1, 2), (1, 1),
+                   (0, 1)], float)
+
+
+def reference_distance(pts, poly, closed=True):
+    """Distance to the nearest of all edges, one row of points at a time."""
+    if closed or len(poly) == 1:
+        v0, v1 = poly, np.roll(poly, -1, axis=0)
+    else:
+        v0, v1 = poly[:-1], poly[1:]
+    e = v1 - v0
+    ee = np.maximum(np.sum(e * e, axis=1), 1e-300)
+    out = np.empty(len(pts))
+    for lo in range(0, len(pts), 256):
+        p = pts[lo:lo + 256]
+        w = p[:, None, :] - v0[None, :, :]
+        t = np.clip(np.einsum("pek,ek->pe", w, e) / ee[None, :], 0.0, 1.0)
+        proj = v0[None, :, :] + t[:, :, None] * e[None, :, :]
+        d2 = np.sum((p[:, None, :] - proj) ** 2, axis=2)
+        out[lo:lo + 256] = np.sqrt(np.min(d2, axis=1))
+    return out
+
+
+def reference_inside(pts, poly):
+    """Crossing number over all edges."""
+    x0, y0 = poly[:, 0], poly[:, 1]
+    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    x, y = pts[:, 0:1], pts[:, 1:2]
+    cond = (y0 <= y) != (y1 <= y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xint = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+    return np.sum(cond & (x < xint), axis=1) % 2 == 1
+
+
+def reference_self_intersects(poly):
+    """Edge i against every non-adjacent edge j > i, one edge at a time."""
+    a0, a1, n = poly, np.roll(poly, -1, axis=0), len(poly)
+
+    def orient(p, q, r):
+        return ((q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1])
+                - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0]))
+
+    for i in range(n):
+        j = slice(i + 2, n - 1 if i == 0 else n)
+        b0, b1 = a0[j], a1[j]
+        d1, d2 = orient(a0[i], a1[i], b0), orient(a0[i], a1[i], b1)
+        d3, d4 = orient(b0, b1, a0[i]), orient(b0, b1, a1[i])
+        if np.any(((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))):
+            return True
+    return False
+
+
+def subdivide(poly, k):
+    """Each edge split into k collinear pieces (many exact distance ties)."""
+    s = np.arange(k)[None, :, None] / k
+    e = np.roll(poly, -1, axis=0) - poly
+    return (poly[:, None, :] + s * e[:, None, :]).reshape(-1, 2)
+
+
+def probe_points(data, poly, n_random=160):
+    """Random points around the polyline, some vertices and edge midpoints."""
+    lo, hi = poly.min(axis=0), poly.max(axis=0)
+    pad = 0.3 * (hi - lo)
+    rnd = np.array([[data.draw(st.floats(lo[0] - pad[0], hi[0] + pad[0])),
+                     data.draw(st.floats(lo[1] - pad[1], hi[1] + pad[1]))]
+                    for _ in range(n_random // 8)])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    rnd = np.vstack([rnd, rng.uniform(lo - pad, hi + pad,
+                                      (n_random - len(rnd), 2))])
+    pick = rng.integers(0, len(poly), 48)
+    mids = 0.5 * (poly[pick] + np.roll(poly, -1, axis=0)[pick])
+    return np.vstack([rnd, poly[pick], mids])
+
+
+def assert_polyline_queries_match(pts, poly):
+    for closed in (True, False):
+        got = _dist_to_polyline(pts, poly, closed=closed)
+        assert got.tobytes() == reference_distance(pts, poly, closed).tobytes()
+    assert np.array_equal(_inside_polygon(pts, poly),
+                          reference_inside(pts, poly))
+
+
+@POLYLINE
+@given(data=st.data(), cx=_coord, cy=_coord, a=_length, b=_length,
+       angle=_angle)
+def test_polyline_queries_on_ellipse_match_all_edges(data, cx, cy, a, b,
+                                                     angle):
+    poly = Ellipse((cx, cy), (a, b), angle)._sd_cache()
+    assert_polyline_queries_match(probe_points(data, poly), poly)
+
+
+@POLYLINE
+@given(data=st.data(), a=_length, b=_length, wobble=st.floats(0.0, 0.2))
+def test_polyline_queries_on_parametric_curve_match_all_edges(data, a, b,
+                                                              wobble):
+    # an ellipse with a radial wobble r(t) = 1 + wobble cos(6 w t)
+    w, k = 2 * math.pi, 6
+
+    def radial(t):
+        c, s = math.cos(k * w * t), math.sin(k * w * t)
+        return (1.0 + wobble * c, -wobble * k * w * s,
+                -wobble * (k * w) ** 2 * c)
+
+    def fn(t):
+        r = radial(t)[0]
+        return np.array([a * r * math.cos(w * t), b * r * math.sin(w * t)])
+
+    def d1(t):
+        r, r1, _ = radial(t)
+        c, s = math.cos(w * t), math.sin(w * t)
+        return np.array([a * (r1 * c - r * w * s), b * (r1 * s + r * w * c)])
+
+    def d2(t):
+        r, r1, r2 = radial(t)
+        c, s = math.cos(w * t), math.sin(w * t)
+        return np.array([a * (r2 * c - 2 * r1 * w * s - r * w * w * c),
+                         b * (r2 * s + 2 * r1 * w * c - r * w * w * s)])
+
+    poly = ParametricCurve(fn, d1, d2)._sd_cache()
+    assert_polyline_queries_match(probe_points(data, poly), poly)
+
+
+@POLYLINE
+@given(data=st.data(), which=st.sampled_from(["L", "Z"]),
+       k=st.sampled_from([1, 7, 160]), ox=_coord, oy=_coord, s=_length)
+def test_polyline_queries_on_lshape_and_zshape_match_all_edges(data, which,
+                                                               k, ox, oy, s):
+    base = LSHAPE if which == "L" else ZSHAPE
+    poly = subdivide(base, k) * s + (ox, oy)
+    pts = probe_points(data, poly)
+    # and points on the lattice of the shape's corners, where edges tie
+    grid = np.stack(np.meshgrid(np.arange(0.0, 3.5, 0.5),
+                                np.arange(0.0, 2.5, 0.5)), -1).reshape(-1, 2)
+    assert_polyline_queries_match(np.vstack([pts, grid * s + (ox, oy)]), poly)
+
+
+@POLYLINE
+@given(data=st.data(), r=_length, scale=st.floats(1e-9, 1e-2))
+def test_polyline_distance_near_disk_centre_matches_all_edges(data, r, scale):
+    # near the centre every edge is about equally far, so no block is pruned
+    poly = Disk((0.25, -0.5), r)._sd_cache()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    pts = (0.25, -0.5) + r * scale * rng.uniform(-1, 1, (200, 2))
+    assert_polyline_queries_match(pts, poly)
+
+
+@POLYLINE
+@given(data=st.data(), n=st.integers(3, 700), crossing=st.booleans())
+def test_self_intersection_matches_per_edge_loop(data, n, crossing):
+    # star-shaped polygons from sorted angles are simple; swapping two
+    # vertices or pushing one across the centre usually makes them cross
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    th = np.sort(rng.uniform(0.0, 2 * math.pi, n))
+    rad = rng.uniform(0.5, 1.5, n)
+    poly = np.column_stack([rad * np.cos(th), rad * np.sin(th)])
+    if crossing:
+        i, j = rng.integers(0, n, 2)
+        poly[[i, j]] = poly[[j, i]]
+        if data.draw(st.booleans()):
+            poly[i] *= -1.0
+    assert _polyline_self_intersects(poly) == reference_self_intersects(poly)

@@ -191,6 +191,17 @@ class TestBitIdentity:
                    "oracle_spacing": 0.08},
     }
 
+    # a polyline domain: the hull, its arcs and the oracle's closure all
+    # query the ellipse's 4,096-gon
+    ELLIPSE_GAMMA_PLUS = {
+        "experiment": "hull",
+        "domain": {"type": "ellipse", "center": [0.1, -0.2],
+                   "semi_axes": [1.2, 0.7], "angle": 0.4},
+        "field": {"X": [1.0, 0.0]},
+        "params": {"generators": "gamma_plus", "resolution": 0.1,
+                   "oracle_spacing": 0.25},
+    }
+
     @pytest.mark.parametrize("config, digests", [
         pytest.param(json.loads((Path(__file__).parents[1] / "configs"
                                  / "hull_lshape.json").read_text()),
@@ -203,6 +214,11 @@ class TestBitIdentity:
                       "hull_arcs.csv": "8eabf2b8d62a4bf2",
                       "oracle_points.csv": "f130a9911b48fafe"},
                      id="disk-gamma-plus-0.08"),
+        pytest.param(ELLIPSE_GAMMA_PLUS,
+                     {"hull.geojson": "fba9e86925b3cb41",
+                      "hull_arcs.csv": "c7267a460ad0d2a7",
+                      "oracle_points.csv": "d2dd31f58b140597"},
+                     id="ellipse-gamma-plus-0.25"),
     ])
     def test_artifact_digests(self, tmp_path, config, digests):
         cfg = tmp_path / "config.json"
