@@ -669,7 +669,8 @@ def run(config_path: str, out_dir: str | None = None,
     try:
         raw = Path(config_path).read_text(encoding="utf-8")
         config = json.loads(raw)
-    except (OSError, ValueError) as e:     # missing, a directory, not UTF-8
+    # missing, a directory, not UTF-8, nested past the recursion limit
+    except (OSError, ValueError, RecursionError) as e:
         print(f"config unreadable: {e}", file=sys.stderr)
         return 2
     named = config.get("experiment") if isinstance(config, dict) else None

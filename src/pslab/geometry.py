@@ -19,6 +19,7 @@ curvature +1/r everywhere).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,6 +31,7 @@ from .jets import Jet
 GLANCING_TOL = 1e-10
 _ON_BOUNDARY_TOL = 1e-10
 INSIDE_TOL = 1e-9       # closed-domain membership, relative to the diameter
+_SCRATCH = 1 << 18      # point-by-block and edge-pair entries per chunk
 
 
 # ===================================================================== #
@@ -122,9 +124,9 @@ class _PlanarDomain:
         return float(t)
 
     def diameter(self) -> float:
-        poly = self._sd_cache()[::16]
-        d2 = np.max(np.sum((poly[:, None, :] - poly[None, :, :]) ** 2, axis=2))
-        return float(np.sqrt(d2))
+        if not hasattr(self, "_diameter"):
+            self._diameter = _vertex_diameter(self._sd_cache()[::16])
+        return self._diameter
 
 
 class Disk(_PlanarDomain):
@@ -315,9 +317,9 @@ class Polygon:
         return self
 
     def diameter(self):
-        v = self.vertices
-        d2 = np.max(np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=2))
-        return float(np.sqrt(d2))
+        if not hasattr(self, "_diameter"):
+            self._diameter = _vertex_diameter(self.vertices)
+        return self._diameter
 
     def __repr__(self):
         return f"Polygon(<{len(self.vertices)} vertices>)"
@@ -326,6 +328,12 @@ class Polygon:
 # ===================================================================== #
 #  low-level planar helpers
 # ===================================================================== #
+
+def _vertex_diameter(v: np.ndarray) -> float:
+    """Largest distance between two of the vertices."""
+    d2 = np.max(np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=2))
+    return float(np.sqrt(d2))
+
 
 def _polygon_area(v: np.ndarray) -> float:
     x, y = v[:, 0], v[:, 1]
@@ -339,25 +347,57 @@ def _polygon_signed_distance(pts, poly: np.ndarray) -> np.ndarray:
     return np.where(_inside_polygon(pts, poly), -d, d)
 
 
+def _edge_blocks(v0: np.ndarray, v1: np.ndarray):
+    """Runs of about sqrt(n) consecutive edges: their first index and the
+    bounding box of their endpoints, (lo, hi) with one row per block."""
+    size = max(16, math.isqrt(len(v0)))
+    first = np.arange(0, len(v0), size)
+    lo = np.minimum(np.minimum.reduceat(v0, first), np.minimum.reduceat(v1, first))
+    hi = np.maximum(np.maximum.reduceat(v0, first), np.maximum.reduceat(v1, first))
+    return first, size, lo, hi
+
+
+def _point_chunks(n_points: int, n_blocks: int, size: int):
+    """Slices of at most _SCRATCH // max(blocks, block size) points."""
+    chunk = max(1, _SCRATCH // max(n_blocks, size))
+    return (slice(lo, lo + chunk) for lo in range(0, n_points, chunk))
+
+
 def _inside_polygon(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Crossing-number inside test, vectorized over points in bounded chunks."""
-    x0, y0 = poly[:, 0], poly[:, 1]
-    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    """Crossing-number inside test.
+
+    Only an edge whose y-range holds the point's y can cross its horizontal
+    ray, so each point visits the edge blocks whose y-range holds it.
+    """
+    v1 = np.roll(poly, -1, axis=0)
+    first, size, lo, hi = _edge_blocks(poly, v1)
     out = np.empty(pts.shape[0], dtype=bool)
-    chunk = max(1, int(4e6 / max(len(poly), 1)))
-    for lo in range(0, pts.shape[0], chunk):
-        x, y = pts[lo:lo + chunk, 0:1], pts[lo:lo + chunk, 1:2]
-        cond = (y0 <= y) != (y1 <= y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-        out[lo:lo + chunk] = np.sum(cond & (x < xint), axis=1) % 2 == 1
+    for c in _point_chunks(len(pts), len(first), size):
+        x, y = pts[c, 0:1], pts[c, 1:2]
+        # written as a negation so that a NaN coordinate visits every block
+        visit = ~((y < lo[:, 1]) | (y > hi[:, 1]))
+        count = np.zeros(len(x), dtype=np.int64)
+        for b in np.flatnonzero(visit.any(axis=0)):
+            rows = np.flatnonzero(visit[:, b])
+            e = slice(first[b], first[b] + size)
+            x0, y0, x1, y1 = poly[e, 0], poly[e, 1], v1[e, 0], v1[e, 1]
+            cond = (y0 <= y[rows]) != (y1 <= y[rows])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xint = x0 + (y[rows] - y0) * (x1 - x0) / (y1 - y0)
+            count[rows] += np.sum(cond & (x[rows] < xint), axis=1)
+        out[c] = count % 2 == 1
     return out
 
 
 def _dist_to_polyline(pts: np.ndarray, poly: np.ndarray,
                       closed: bool = True) -> np.ndarray:
-    """Distance from each point to a polyline, chunked to bound memory.
+    """Distance from each point to a polyline, pruned by edge blocks.
 
+    The distance is at most the distance to the nearest block's first
+    vertex, and at least the distance to a block's bounding box, so a
+    point visits only the blocks whose box lies within that bound (plus a
+    margin that covers rounding).  Every visited edge evaluates the same
+    expressions as an all-edges scan, so the minimum is the same float.
     An open polyline of one vertex is that point (a zero-length segment).
     """
     if closed or len(poly) == 1:
@@ -366,23 +406,36 @@ def _dist_to_polyline(pts: np.ndarray, poly: np.ndarray,
         v0, v1 = poly[:-1], poly[1:]
     e = v1 - v0
     ee = np.maximum(np.sum(e * e, axis=1), 1e-300)
+    first, size, lo, hi = _edge_blocks(v0, v1)
     out = np.empty(pts.shape[0])
-    chunk = max(1, int(4e6 / max(len(v0), 1)))
-    for lo in range(0, pts.shape[0], chunk):
-        p = pts[lo:lo + chunk]
-        w = p[:, None, :] - v0[None, :, :]
-        t = np.clip(np.einsum("pek,ek->pe", w, e) / ee[None, :], 0.0, 1.0)
-        proj = v0[None, :, :] + t[:, :, None] * e[None, :, :]
-        d2 = np.sum((p[:, None, :] - proj) ** 2, axis=2)
-        out[lo:lo + chunk] = np.sqrt(np.min(d2, axis=1))
+    for c in _point_chunks(len(pts), len(first), size):
+        p = pts[c]
+        ub = np.sqrt(np.min(np.sum((p[:, None, :] - v0[first]) ** 2, axis=2),
+                            axis=1))
+        gap = np.maximum(lo - p[:, None, :], 0.0) + np.maximum(p[:, None, :] - hi, 0.0)
+        box = np.sqrt(np.sum(gap * gap, axis=2))
+        slack = 1e-12 * (np.max(np.abs(v0)) + np.max(np.abs(p), axis=1))
+        visit = ~(box > (ub * (1.0 + 1e-9) + slack)[:, None])
+        d2 = np.full(len(p), np.inf)
+        for b in np.flatnonzero(visit.any(axis=0)):
+            rows = np.flatnonzero(visit[:, b])
+            s = slice(first[b], first[b] + size)
+            q = p[rows]
+            w = q[:, None, :] - v0[None, s, :]
+            t = np.clip(np.einsum("pek,ek->pe", w, e[s]) / ee[None, s], 0.0, 1.0)
+            proj = v0[None, s, :] + t[:, :, None] * e[None, s, :]
+            d2[rows] = np.minimum(
+                d2[rows], np.min(np.sum((q[:, None, :] - proj) ** 2, axis=2), axis=1))
+        out[c] = np.sqrt(d2)
     return out
 
 
 def _polyline_self_intersects(poly: np.ndarray) -> bool:
     """True when two non-adjacent edges of the closed polyline properly cross.
 
-    Edge i is tested against every edge j > i + 1 at once (the closing edge
-    n - 1 is adjacent to edge 0); orientation signs decide a proper crossing.
+    Edges i of a chunk are tested against every edge j > i + 1 at once (the
+    closing edge n - 1 is adjacent to edge 0); orientation signs decide a
+    proper crossing.
     """
     a0 = poly
     a1 = np.roll(poly, -1, axis=0)
@@ -392,14 +445,15 @@ def _polyline_self_intersects(poly: np.ndarray) -> bool:
         return ((q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1])
                 - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0]))
 
-    for i in range(n):
-        j = slice(i + 2, n - 1 if i == 0 else n)
-        b0, b1 = a0[j], a1[j]
-        d1 = orient(a0[i], a1[i], b0)
-        d2 = orient(a0[i], a1[i], b1)
-        d3 = orient(b0, b1, a0[i])
-        d4 = orient(b0, b1, a1[i])
-        if np.any(((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))):
+    j = np.arange(n)
+    rows = max(1, _SCRATCH // n)
+    for lo in range(0, n, rows):
+        i = np.arange(lo, min(lo + rows, n))[:, None]
+        pair = (j > i + 1) & ~((i == 0) & (j == n - 1))
+        c0, c1 = a0[i], a1[i]
+        d1, d2 = orient(c0, c1, a0), orient(c0, c1, a1)
+        d3, d4 = orient(a0, a1, c0), orient(a0, a1, c1)
+        if np.any(pair & ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))):
             return True
     return False
 

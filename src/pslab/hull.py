@@ -288,22 +288,22 @@ def _segment_nodes(p: np.ndarray, q: np.ndarray, lo, spacing, nx, ny):
 
 
 def _closure_sweep(pij: np.ndarray, targets_ij: np.ndarray, domain, S, lo,
-                   spacing: float, inmask) -> bool:
+                   spacing: float, inmask) -> None:
     """Add the lattice points lying exactly on in-domain segments from p.
 
     Only exactly-collinear lattice points (the gcd subdivision of the integer
     difference vector) are added: rounding-based rasterization would let the
     set creep outward by a fraction of a cell per round and never reach a
-    geometric fixpoint.
+    geometric fixpoint.  S only grows, so adding every segment's points at
+    once gives the set that adding them one segment at a time gives.
     """
     if len(targets_ij) == 0:
-        return False
+        return
     delta = targets_ij - pij[None, :]
     g = np.gcd(np.abs(delta[:, 0]), np.abs(delta[:, 1]))
-    cand = g >= 2                      # no interior lattice points otherwise
-    if not cand.any():
-        return False
-    idx = np.nonzero(cand)[0]
+    idx = np.nonzero(g >= 2)[0]        # no interior lattice points otherwise
+    if len(idx) == 0:
+        return
     p = lo + spacing * pij
     targets = lo + spacing * targets_ij[idx]
     tol = INSIDE_TOL * max(domain.diameter(), 1.0)
@@ -312,19 +312,13 @@ def _closure_sweep(pij: np.ndarray, targets_ij: np.ndarray, domain, S, lo,
     s = np.linspace(0.0, 1.0, ns)
     seg = p[None, None, :] + s[:, None, None] * (targets[None, :, :] - p[None, None, :])
     sd = domain.signed_distance(seg.reshape(-1, 2)).reshape(ns, len(targets))
-    good = np.all(sd <= tol, axis=0)
-    changed = False
-    for k in np.nonzero(good)[0]:
-        dvec = delta[idx[k]]
-        d = int(g[idx[k]])
-        step = dvec // d
-        pts = pij[None, :] + np.arange(1, d)[:, None] * step[None, :]
-        sel = inmask[pts[:, 0], pts[:, 1]] & ~S[pts[:, 0], pts[:, 1]]
-        if sel.any():
-            picked = pts[sel]
-            S[picked[:, 0], picked[:, 1]] = True
-            changed = True
-    return changed
+    good = idx[np.all(sd <= tol, axis=0)]
+    # interior points pij + m * delta / g for m = 1 .. g - 1 of each segment
+    inner = g[good] - 1
+    m = np.arange(inner.sum()) - np.repeat(np.cumsum(inner) - inner, inner) + 1
+    pts = pij + m[:, None] * np.repeat(delta[good] // g[good, None], inner, axis=0)
+    pts = pts[inmask[pts[:, 0], pts[:, 1]] & ~S[pts[:, 0], pts[:, 1]]]
+    S[pts[:, 0], pts[:, 1]] = True
 
 
 def relhull_grid_oracle(domain, A, spacing: float) -> np.ndarray:

@@ -268,8 +268,9 @@ def localization_profile(op: GridOperator, vector: np.ndarray, field_X
         samples = classify_boundary(domain, field_X, _ARC_SAMPLES)
         from scipy.spatial import cKDTree
         # deep nodes are near-equidistant from every sample, so the tree
-        # prunes little; the query runs on every core the process may use
-        _, nearest = cKDTree(samples.points).query(
+        # prunes little and large leaves cost less than deep descents; the
+        # query runs on every core the process may use
+        _, nearest = cKDTree(samples.points, leafsize=128).query(
             pts, workers=len(os.sched_getaffinity(0)))
         arc_t = samples.t[nearest]
         edges = np.linspace(0.0, 1.0, _ARC_BINS + 1)

@@ -444,6 +444,16 @@ class TestRunner:
         assert "config unreadable" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_nested_too_deep_exits_2(self, tmp_path, capsys):
+        # json.loads raises RecursionError past the interpreter's limit
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 200_000 + "]" * 200_000)
+        out = tmp_path / "out"
+        assert run(str(cfg), out_dir=str(out)) == 2
+        assert main(["classify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config unreadable" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spectrum_experiment(self, tmp_path):
         cfg = write_config(tmp_path, {
             "experiment": "spectrum",
