@@ -330,8 +330,10 @@ class Polygon:
 # ===================================================================== #
 
 def _vertex_diameter(v: np.ndarray) -> float:
-    """Largest distance between two of the vertices."""
-    d2 = np.max(np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=2))
+    """Largest distance between two of the vertices, in chunks of rows."""
+    rows = max(1, _SCRATCH // len(v))
+    d2 = max(np.max(np.sum((v[lo:lo + rows, None, :] - v[None, :, :]) ** 2, axis=2))
+             for lo in range(0, len(v), rows))
     return float(np.sqrt(d2))
 
 

@@ -297,8 +297,6 @@ def _closure_sweep(pij: np.ndarray, targets_ij: np.ndarray, domain, S, lo,
     geometric fixpoint.  S only grows, so adding every segment's points at
     once gives the set that adding them one segment at a time gives.
     """
-    if len(targets_ij) == 0:
-        return
     delta = targets_ij - pij[None, :]
     g = np.gcd(np.abs(delta[:, 0]), np.abs(delta[:, 1]))
     idx = np.nonzero(g >= 2)[0]        # no interior lattice points otherwise

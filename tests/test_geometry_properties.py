@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from pslab.geometry import (GLANCING_TOL, Disk, Ellipse, ParametricCurve,
                             Polygon, _dist_to_polyline, _inside_polygon,
-                            _polyline_self_intersects, classify_boundary)
+                            _polyline_self_intersects, _vertex_diameter,
+                            classify_boundary)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40,
                     deadline=None)
@@ -306,3 +307,12 @@ def test_self_intersection_matches_per_edge_loop(data, n, crossing):
         if data.draw(st.booleans()):
             poly[i] *= -1.0
     assert _polyline_self_intersects(poly) == reference_self_intersects(poly)
+
+
+@POLYLINE
+@given(data=st.data(), n=st.integers(2, 1500))
+def test_vertex_diameter_matches_all_pairs(data, n):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    v = rng.normal(size=(n, 2)) * rng.uniform(0.1, 10.0, 2)
+    d2 = np.max(np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=2))
+    assert _vertex_diameter(v) == float(np.sqrt(d2))
