@@ -218,15 +218,20 @@ class Artifacts:
 
     def finish(self):
         self.outdir.mkdir(parents=True, exist_ok=True)
-        for name, data in self.files.items():
-            (self.outdir / name).write_bytes(data)
         manifest = {
             "pslab_version": __version__,
             "config_echo": self.raw_config,
             "files": dict(sorted(self.hashes.items())),
         }
-        (self.outdir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        files = self.files | {"manifest.json": (json.dumps(
+            manifest, indent=2, sort_keys=True) + "\n").encode()}
+        for name, data in files.items():
+            path = self.outdir / name
+            # a new file each time: truncating a file written twice before
+            # stalls the file system for tens of milliseconds, and so does
+            # renaming a new file over it
+            path.unlink(missing_ok=True)
+            path.write_bytes(data)
 
 
 # ===================================================================== #

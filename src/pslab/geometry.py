@@ -87,7 +87,12 @@ class _PlanarDomain:
         return self.boundary_points(np.arange(n) / n)
 
     def polygonize(self, n: int) -> "Polygon":
-        return Polygon(self._polyline(n))
+        """The inscribed n-gon, built (and its simplicity checked) once per n."""
+        if not hasattr(self, "_polygons"):
+            self._polygons = {}
+        if n not in self._polygons:
+            self._polygons[n] = Polygon(self._polyline(n))
+        return self._polygons[n]
 
     def signed_distance(self, pts) -> np.ndarray:
         return _polygon_signed_distance(pts, self._sd_cache())

@@ -4,9 +4,12 @@ sigma_min(P - z) is ||A v|| for the top eigenvector v of the Hermitian
 v -> A^{-1} A^{-H} v, which ARPACK finds from one sparse LU of A = P - z at
 every n (Wright & Trefethen, SIAM J. Sci. Comput. 2001); a dense SVD is the
 test oracle only.  1/sigma_min is the discrete resolvent norm, so decay of
-sigma_min in h certifies pseudospectral growth.  Eigenvalues are
-shift-invert ARPACK in real arithmetic on one LU of P - shift.  Both LUs
-come from the one ``operators.factorize``.
+sigma_min in h certifies pseudospectral growth.  Inside the region
+Re z >= (Im z)^2/|X|^2 that decay makes the top eigenvalue stand alone,
+and a 6-vector Lanczos basis converges in about half the solves of the
+12-vector basis used elsewhere.  Eigenvalues are shift-invert ARPACK in
+real arithmetic on one LU of P - shift, to the same 1e-10 Ritz tolerance.
+Both LUs come from the one ``operators.factorize``.
 
 Localization profiles bin the squared modulus of the minimal singular vector
 by distance to the boundary and by boundary-arc position tagged with the
@@ -29,10 +32,23 @@ from .operators import GridOperator, assemble_1d, assemble_2d, factorize
 
 SIGMA_FLOOR_FACTOR = 1e-14
 _SEED = 20210607
-# ARPACK basis size and Ritz tolerance, measured on the 8x6 interval scan at
-# n = 1,599: every sigma > 1e-6 matches the dense SVD to 2e-12 at ncv 8, 12
-# or 20, in 2,276, 1,704 and 1,718 solve pairs; an in-region z takes ncv + 1
+# ARPACK basis for z outside the region, measured on the 8x6 interval scan
+# at n = 1,599: every sigma > 1e-6 matches the dense SVD to 2e-12 at ncv 8,
+# 12 or 20, in 2,276, 1,704 and 1,718 solve pairs
 LANCZOS_NCV = 12
+# basis for z in the region, where sigma_min is exponentially small and the
+# top eigenvalue of A^{-1} A^{-H} stands far above the rest; applications by
+# ncv on the disk pseudomode (n = 80,452, h = 0.02, z = 1+0.5i) and summed
+# over the interval scan's 66 in-region z (h = 0.05, 0.01, 0.005):
+#   ncv        3    4    5    6    7    8   12
+#   disk      10    7    9    7    8    9   13
+#   interval 290  338  402  462  528  594  858
+# 6 is the smallest basis whose first cycle, ncv + 1 applications, converges
+# at every z of both
+LANCZOS_NCV_IN_REGION = 6
+# Ritz tolerance of both ARPACK calls; the disk spectrum's discretization
+# error against its oracle is 8.7e-4 relative, so digits past 1e-10 buy
+# nothing (ARPACK's default, machine precision, took 46 solves there, not 33)
 LANCZOS_TOL = 1e-10
 # localization profile bins: distance to the boundary, and boundary arcs (2D)
 _RADIAL_BINS = 32
@@ -86,10 +102,12 @@ def smallest_singular_value(op: GridOperator, z: complex,
         return y
 
     B = spla.LinearOperator((n, n), matvec=normal_inverse, dtype=complex)
+    ncv = (LANCZOS_NCV_IN_REGION if in_region(np.real(z), np.imag(z), op.X)
+           else LANCZOS_NCV)
     converged = True
     try:
         _, vecs = spla.eigsh(B, k=1, which="LM", v0=v0,
-                             ncv=min(LANCZOS_NCV, n), tol=LANCZOS_TOL)
+                             ncv=min(ncv, n), tol=LANCZOS_TOL)
     except FloatingPointError:
         # z is numerically an eigenvalue: the solve overflowed
         return SigmaMin(floor, last / np.linalg.norm(last), True, True,
@@ -118,6 +136,13 @@ class PseudospectrumGrid:
     in_region: np.ndarray
 
 
+def in_region(re_z, im_z, X):
+    """Re z >= (Im z)^2 / |X|^2, elementwise: where sigma_min(P - z) is
+    exponentially small in 1/h (the boundary-driven pseudospectrum)."""
+    res = np.linalg.norm(np.atleast_1d(np.asarray(X, dtype=float)))
+    return re_z >= im_z ** 2 / res ** 2
+
+
 def _operator_for(domain, h: float, X, dx: float) -> GridOperator:
     if domain.dimension == 1:
         n = max(8, int(round((domain.b - domain.a) / dx)) - 1)
@@ -133,7 +158,6 @@ def pseudospectrum_scan(domain, X, rect: tuple, resolution: tuple,
     """
     re_min, re_max, im_min, im_max = rect
     n_re, n_im = resolution
-    res = np.linalg.norm(np.atleast_1d(np.asarray(X, dtype=float)))
     out = []
     for h in h_values:
         op = _operator_for(domain, h, X, h / 8)
@@ -145,9 +169,9 @@ def pseudospectrum_scan(domain, X, rect: tuple, resolution: tuple,
             for i, a in enumerate(res_vals):
                 sm = smallest_singular_value(op, complex(a, b))
                 stats[:, j, i] = sm.value, sm.at_floor, sm.converged
-        in_region = res_vals[None, :] >= (im_vals[:, None] ** 2) / res ** 2
-        out.append(PseudospectrumGrid(res_vals, im_vals, stats[0],
-                                      stats[1] > 0, stats[2] > 0, in_region))
+        out.append(PseudospectrumGrid(
+            res_vals, im_vals, stats[0], stats[1] > 0, stats[2] > 0,
+            in_region(res_vals[None, :], im_vals[:, None], X)))
     return out
 
 
@@ -204,7 +228,7 @@ def eigenvalues(op: GridOperator, k: int, sigma_shift: float = 0.0
     v0 = np.random.default_rng(_SEED).standard_normal(op.n)
     try:
         vals = spla.eigs(A, k=k, sigma=shift, v0=v0, OPinv=OPinv,
-                         return_eigenvectors=False)
+                         tol=LANCZOS_TOL, return_eigenvectors=False)
         order = np.argsort(vals.real)
         return EigenResult(vals[order], True)
     except spla.ArpackNoConvergence as e:

@@ -139,19 +139,19 @@ FROZEN_DIGESTS = {
                                  "quasimode_manifest.json": "b924f46496487bb6"},
     "pseudospectrum": {"heatmap_h0.05.svg": "729c0fd13e572770",
                        "heatmap_h0.1.svg": "9a79ae4d67518773",
-                       "pseudospectrum_h0.05.csv": "3356a2a20b0c89f1",
-                       "pseudospectrum_h0.1.csv": "33ddb5c7a5ce59e2",
-                       "scan_summary.json": "9e30183fbeb7551b"},
-    "spectrum": {"eigenvalues.csv": "4d279a7110f941c2",
+                       "pseudospectrum_h0.05.csv": "ee1e473e35969205",
+                       "pseudospectrum_h0.1.csv": "b3cc88f49714edd2",
+                       "scan_summary.json": "315e20d39d4fb586"},
+    "spectrum": {"eigenvalues.csv": "21b70d192a1aa29b",
                  "spectrum_summary.json": "60cf0fb9a1c0065c"},
     "pseudomode": {"arc_profile.csv": "b3620096e1194aff",
                    "pseudomode.csv": "e1292ffe89dd30a3",
                    "pseudomode_summary.json": "8732b209af227790",
                    "radial_profile.csv": "322e3d2a5df3cbd5"},
-    "pseudomode-disk": {"arc_profile.csv": "2cf85b96ddc37bf6",
-                        "pseudomode.csv": "03ae1b542b13690b",
-                        "pseudomode_summary.json": "a149e3cea0693810",
-                        "radial_profile.csv": "ec7143265207e9d5"},
+    "pseudomode-disk": {"arc_profile.csv": "e07a689f6cbb9d53",
+                        "pseudomode.csv": "00986f6619dca63e",
+                        "pseudomode_summary.json": "6c8a7b7551a6fcff",
+                        "radial_profile.csv": "0d69012a4c656131"},
     "exit-time": {"estimate.json": "ffef0f927208d275",
                   "samples.csv": "e1a516c7b8874ef1",
                   "survival.csv": "8b35c0a3079a0a0d"},
@@ -202,6 +202,19 @@ class TestRunner:
             assert got == digest
         on_disk = {p.name for p in out.iterdir()} - {"manifest.json"}
         assert on_disk == set(man["files"])
+
+    def test_rerun_into_same_directory(self, tmp_path):
+        # a second run writes the same manifest and bytes, each as a new file
+        # rather than over the first run's: a hard link to it stays intact
+        cfg = write_config(tmp_path, classify_config(tmp_path / "out"))
+        out = tmp_path / "out"
+        assert run(str(cfg)) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        os.link(out / "boundary.csv", tmp_path / "kept.csv")
+        assert run(str(cfg)) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+        assert not (out / "boundary.csv").samefile(tmp_path / "kept.csv")
+        assert (tmp_path / "kept.csv").read_bytes() == first["boundary.csv"]
 
     def test_invalid_z_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

@@ -4,6 +4,7 @@ import pytest
 from pslab.geometry import Disk, Interval, classify_boundary
 from pslab.operators import assemble_1d, assemble_2d, conjugated_spectrum_oracle
 from pslab.spectral import (
+    LANCZOS_NCV,
     eigenvalues,
     fit_exponential_rate,
     localization_profile,
@@ -33,6 +34,16 @@ class TestSigmaMin:
             sparse = smallest_singular_value(op, z, method="sparse")
             assert sparse.converged
             assert sparse.value == pytest.approx(dense.value, rel=1e-8)
+
+    def test_in_region_takes_the_small_basis(self):
+        # inside Re z > (Im z)^2/|X|^2 the top eigenvalue of A^{-1} A^{-H}
+        # stands far above the rest, so the in-region basis converges in
+        # fewer applications than one 12-vector cycle (10 here, 13 before);
+        # test_matches_dense_svd checks the value at this operator and z
+        disk = assemble_2d(Disk((0, 0), 1.0), 0.1, [1.0, 0.0], 1.0 / 20)
+        sm = smallest_singular_value(disk, 1 + 0.5j)
+        assert sm.converged
+        assert sm.iterations < LANCZOS_NCV + 1
 
     def test_minimal_vector_quality(self):
         op = assemble_1d(INTERVAL, 0.08, 1.0, 300)
