@@ -627,7 +627,10 @@ REGISTRY = {
                                       "need [re0, re1, im0, im1]"), (4,)),
         "resolution": Key(int, REQUIRED, (lambda r: min(r) >= 1,
                                           "need [n_re, n_im] counts"), (2,)),
-    }),
+    }, lambda domain, X, p: _need(
+        len({f"{h:g}" for h in p["h_list"]}) == len(p["h_list"]),
+        "params.h_list", "h values must differ in their first six "
+        "significant digits: each names its output files")),
     "spectrum": Experiment(run_spectrum, {
         "h": POSITIVE_FLOAT, "k": Key(int, REQUIRED, POSITIVE),
         "n": N, "dx": DX, "shift": Key(float, 0.0),

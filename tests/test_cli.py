@@ -139,9 +139,9 @@ FROZEN_DIGESTS = {
                                  "quasimode_manifest.json": "b924f46496487bb6"},
     "pseudospectrum": {"heatmap_h0.05.svg": "729c0fd13e572770",
                        "heatmap_h0.1.svg": "9a79ae4d67518773",
-                       "pseudospectrum_h0.05.csv": "ee1e473e35969205",
-                       "pseudospectrum_h0.1.csv": "b3cc88f49714edd2",
-                       "scan_summary.json": "315e20d39d4fb586"},
+                       "pseudospectrum_h0.05.csv": "c093844d044486ff",
+                       "pseudospectrum_h0.1.csv": "548b6f88337f44e1",
+                       "scan_summary.json": "fc79f213ef53b65a"},
     "spectrum": {"eigenvalues.csv": "21b70d192a1aa29b",
                  "spectrum_summary.json": "60cf0fb9a1c0065c"},
     "pseudomode": {"arc_profile.csv": "b3620096e1194aff",
@@ -246,6 +246,9 @@ class TestRunner:
         ("quasimode", "params", {"z": 1.0}, "params.z"),
         ("quasimode", "params", {"z": [1.0, 0.5, 0.0]}, "params.z"),
         ("pseudospectrum", "params", {"h_list": 0.05}, "params.h_list"),
+        # both h would write pseudospectrum_h0.1.csv
+        ("pseudospectrum", "params", {"h_list": [0.1, 0.1000001]},
+         "params.h_list"),
         ("pseudospectrum", "params", {"dx_rule": "8"}, "params.dx_rule"),
         ("pseudospectrum", "params", {"resolution": 5}, "params.resolution"),
         ("pseudospectrum", "params", {"rect": ["-0.5", "1.5", "-1", "1"]},
@@ -314,7 +317,8 @@ class TestRunner:
                                    "vertices": swapped_circle(3000).tolist()}},
          "domain.vertices"),
     ], ids=["domain-string", "interval-a-string", "field-X-string", "z-scalar",
-            "z-three-entries", "h_list-scalar", "dx_rule-string",
+            "z-three-entries", "h_list-scalar", "h_list-names-collide",
+            "dx_rule-string",
             "resolution-scalar", "rect-strings", "n_paths-zero", "n_paths-one",
             "dt-negative", "spectrum-h-negative", "backend-unknown",
             "order-one", "order-string", "n_max-negative", "radii-reversed",

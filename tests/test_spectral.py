@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pslab import spectral
 from pslab.geometry import Disk, Interval, classify_boundary
 from pslab.operators import assemble_1d, assemble_2d, conjugated_spectrum_oracle
 from pslab.spectral import (
@@ -14,6 +15,56 @@ from pslab.spectral import (
 )
 
 INTERVAL = Interval(0.0, 1.0)
+
+
+def _tridiagonal_solve(lower, diag, upper, b):
+    """x with T x = b for the tridiagonal T, by Gaussian elimination with
+    partial pivoting (LAPACK's gtsv) in the arrays' own precision."""
+    dl, d, du, x = lower.copy(), diag.copy(), upper.copy(), b.copy()
+    n = len(d)
+    du2 = np.zeros_like(d)          # fill of the row swaps
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            m = dl[i] / d[i]
+            d[i + 1] -= m * du[i]
+            x[i + 1] -= m * x[i]
+        else:
+            m = d[i] / dl[i]
+            d[i], d[i + 1], du[i] = dl[i], du[i] - m * d[i + 1], d[i + 1]
+            if i + 2 < n:
+                du2[i], du[i + 1] = du[i + 1], -m * du[i + 1]
+            x[i], x[i + 1] = x[i + 1], x[i] - m * x[i + 1]
+    x[n - 1] /= d[n - 1]
+    x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
+    return x
+
+
+def _sigma_min_extended(h, n, z):
+    """sigma_min(P - z) of the interval operator (X = 1, n interior points)
+    by 6 steps of inverse iteration on A^{-1} A^{-H} in np.clongdouble.
+
+    The dense SVD is accurate to about eps ||A||_2 absolute, 5.7e-14 at
+    ||A||_2 <= 256, so it cannot referee sigma_min near 1e-8 to 1e-8
+    relative; 80-bit arithmetic (eps 1.1e-19) can.  For z in the region
+    only: there the top eigenvalue of A^{-1} A^{-H} stands alone and 2-3
+    steps converge; outside, 6 steps do not.
+    """
+    mat = assemble_1d(INTERVAL, h, 1.0, n).matrix
+    lower, diag, upper = (mat.diagonal(k).astype(np.clongdouble)
+                          for k in (-1, 0, 1))
+    diag -= np.clongdouble(z)
+    rng = np.random.default_rng(0)
+    v = (rng.normal(size=n) + 1j * rng.normal(size=n)).astype(np.clongdouble)
+    for _ in range(6):
+        v = _tridiagonal_solve(upper.conj(), diag.conj(), lower.conj(), v)
+        v = _tridiagonal_solve(lower, diag, upper, v)
+        v /= np.sqrt(np.sum(np.abs(v) ** 2))
+    av = diag * v
+    av[1:] += lower * v[:-1]
+    av[:-1] += upper * v[1:]
+    return float(np.sqrt(np.sum(np.abs(av) ** 2)))
 
 
 class TestSigmaMin:
@@ -100,6 +151,63 @@ class TestScan:
                                     (1, 1), hs)
         sig = np.array([g.sigma[0, 0] for g in grids])
         assert sig.max() / sig.min() <= 2.0
+
+    def test_conjugate_rows_solved_once(self, monkeypatch):
+        # P is real, so sigma_min(P - conj z) = sigma_min(P - z): a rectangle
+        # symmetric about the real axis solves its rows with Im z <= 0 and
+        # mirrors them; on the interval at h = 0.01 (n = 799) and on
+        # TestSigmaMin's disk (h = 0.1, dx = 1/20) the copies agree with
+        # direct solves to 6.2e-15 (4.5e-12 on interval_1d's 8 x 6 scan)
+        solved = []
+
+        def counted(op, z):
+            solved.append(z)
+            return smallest_singular_value(op, z)
+
+        monkeypatch.setattr(spectral, "smallest_singular_value", counted)
+        for domain, X, op in (
+                (INTERVAL, [1.0], assemble_1d(INTERVAL, 0.01, 1.0, 799)),
+                (Disk((0, 0), 1.0), [1.0, 0.0],
+                 assemble_2d(Disk((0, 0), 1.0), 0.1, [1.0, 0.0], 1.0 / 20))):
+            monkeypatch.setattr(spectral, "_operator_for",
+                                lambda *args, op=op: op)
+            for rect, res, calls in (((-0.5, 1.5, -1.0, 1.0), (4, 3), 8),
+                                     ((-0.5, 1.5, -1.0, 1.0), (4, 4), 8),
+                                     ((-0.5, 1.5, -1.0, 0.5), (4, 4), 16)):
+                solved.clear()
+                g, = pseudospectrum_scan(domain, X, rect, res, [op.h])
+                assert len(solved) == calls
+                if calls == 16:
+                    continue
+                assert max(z.imag for z in solved) <= 0
+                for rows in (g.sigma, g.at_floor, g.converged):
+                    assert np.array_equal(rows, rows[::-1])
+                for j in range(len(g.im_values) // 2, len(g.im_values)):
+                    for i, a in enumerate(g.re_values):
+                        direct = smallest_singular_value(
+                            op, complex(a, g.im_values[j]))
+                        assert g.sigma[j, i] == pytest.approx(direct.value,
+                                                              rel=1e-10)
+
+    def test_extended_precision_referee(self):
+        # interval_1d's scan at h = 0.01 (n = 799): the dense SVD is wrong
+        # by 7e-8 to 2e-6 at these z; the references are 40-digit values
+        # (mpmath, inverse iteration on the tridiagonal matrix)
+        assert np.finfo(np.longdouble).eps < 1e-18, (
+            "np.longdouble is not extended precision on this platform: "
+            "the referee would be no better than the solver")
+        g, = pseudospectrum_scan(INTERVAL, [1.0], (-0.5, 2.5, -1.5, 1.5),
+                                 (8, 6), [0.01])
+        # z = 2.0714+0.9i, 2.5-0.9i and 0.3571-0.3i
+        for (i, j), reference in (((6, 4), 2.224856785235e-08),
+                                  ((7, 1), 1.396158847589e-09),
+                                  ((2, 2), 1.191551742422e-08)):
+            got = _sigma_min_extended(0.01, 799, complex(g.re_values[i],
+                                                         g.im_values[j]))
+            assert got == pytest.approx(reference, rel=1e-11)
+            # the scan's value and its mirror's
+            assert g.sigma[j, i] == pytest.approx(got, rel=1e-9)
+            assert g.sigma[5 - j, i] == pytest.approx(got, rel=1e-9)
 
     def test_region_flag(self):
         grids = pseudospectrum_scan(INTERVAL, [1.0], (-0.5, 1.5, -1.0, 1.0),
