@@ -101,6 +101,22 @@ FROZEN = {
     "pseudomode-disk": {"experiment": "pseudomode", "domain": DISK,
                         "field": {"X": [1.0, 0.0]},
                         "params": {"z": [1.0, 0.5], "h": 0.05, "dx": 0.05}},
+    # Shortley-Weller arms on a polyline domain: 250 of the bisection
+    # midpoints land exactly on an edge, where the sign reads outside
+    "pseudomode-lshape": {"experiment": "pseudomode",
+                          "domain": {"type": "polygon",
+                                     "vertices": [[0, 0], [2, 0], [2, 2],
+                                                  [1, 2], [1, 1], [0, 1]]},
+                          "field": {"X": [-1.0, 0.0]},
+                          "params": {"z": [1.0, 0.5], "h": 0.05,
+                                     "dx": 0.025}},
+    # a smooth domain whose signed distance is the 4,096-gon's
+    "spectrum-ellipse": {"experiment": "spectrum",
+                         "domain": {"type": "ellipse", "center": [0.1, -0.2],
+                                    "semi_axes": [1.2, 0.7], "angle": 0.4},
+                         "field": {"X": [1.0, 0.0]},
+                         "params": {"h": 0.2, "k": 3, "dx": 0.05,
+                                    "shift": 0.25}},
     "exit-time": {"domain": INTERVAL, "field": {"X": [-0.8]},
                   "params": {"h": 0.05, "dt": 6.25e-4, "seed": 7,
                              "n_paths": 40, "x0": [0.1], "lambda": 0.1,
@@ -152,6 +168,12 @@ FROZEN_DIGESTS = {
                         "pseudomode.csv": "00986f6619dca63e",
                         "pseudomode_summary.json": "6c8a7b7551a6fcff",
                         "radial_profile.csv": "0d69012a4c656131"},
+    "pseudomode-lshape": {"arc_profile.csv": "a13d772b1d3187b5",
+                          "pseudomode.csv": "4389c04d8ca65cf9",
+                          "pseudomode_summary.json": "c4660eab3ac08da2",
+                          "radial_profile.csv": "e9ca1c8bfc9b2ce7"},
+    "spectrum-ellipse": {"eigenvalues.csv": "78d0d97b4c593583",
+                         "spectrum_summary.json": "60cf0fb9a1c0065c"},
     "exit-time": {"estimate.json": "ffef0f927208d275",
                   "samples.csv": "e1a516c7b8874ef1",
                   "survival.csv": "8b35c0a3079a0a0d"},
