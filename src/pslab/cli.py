@@ -33,7 +33,9 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, PslabError
 from .geometry import Disk, Ellipse, Interval, Polygon, classify_boundary
-# each runner imports the modules it computes with, so scipy loads only there
+from .operators import (MIN_CELLS, MIN_POINTS, conjugated_spectrum_oracle,
+                        grid_operator)
+# neither loads scipy; each runner imports the modules that do
 
 # ===================================================================== #
 #  config parsing and validation
@@ -389,7 +391,7 @@ def run_quasimode(domain, X, params, art: Artifacts):
         ys = np.linspace(x0c[1] - half, x0c[1] + half, ny)
         GX, GY = np.meshgrid(xs, ys, indexing="ij")
         pts = np.column_stack([GX.ravel(), GY.ravel()])
-        inside = domain.signed_distance(pts) < 0
+        inside = domain.contains(pts)
         vals = np.zeros(len(pts), dtype=complex)
         vals[inside] = q.fields(pts[inside])[0]
     art.write_csv("quasimode_grid.csv", {**_xy(pts), "re_u": vals.real,
@@ -427,19 +429,16 @@ def run_pseudospectrum(domain, X, params, art: Artifacts):
     art.write_json("scan_summary.json", summary)
 
 
-def _grid_operator(domain, X, params):
-    """P at params' h, on n interior points (1-D) or at spacing dx (2-D)."""
-    from .operators import assemble_1d, assemble_2d
-    if domain.dimension == 1:
-        return assemble_1d(domain, params["h"], X, params["n"])
-    return assemble_2d(domain, params["h"], X, params["dx"])
+def _spacing(domain, params) -> float:
+    """params' dx, or L / (n + 1) on an interval: grid_operator's n again."""
+    return params["dx"] if domain.dimension == 2 \
+        else domain.diameter() / (params["n"] + 1)
 
 
 def run_spectrum(domain, X, params, art: Artifacts):
-    from .operators import conjugated_spectrum_oracle
     from .spectral import eigenvalues
     h, k = params["h"], params["k"]
-    op = _grid_operator(domain, X, params)
+    op = grid_operator(domain, h, X, _spacing(domain, params))
     res = eigenvalues(op, k, sigma_shift=params["shift"])
     try:
         oracle = conjugated_spectrum_oracle(domain, h, X, k)
@@ -455,7 +454,7 @@ def run_spectrum(domain, X, params, art: Artifacts):
 def run_pseudomode(domain, X, params, art: Artifacts):
     from .spectral import pseudomode_localization
     z, h = complex(*params["z"]), params["h"]
-    op = _grid_operator(domain, X, params)
+    op = grid_operator(domain, h, X, _spacing(domain, params))
     sm, prof = pseudomode_localization(op, z, X)
     edges = prof.radial_edges
     art.write_csv("radial_profile.csv", {"r0": edges[:-1], "r1": edges[1:],
@@ -512,7 +511,7 @@ def run_blowup(domain, X, params, art: Artifacts):
     spec = BumpSpec(center=bp["center"], inner_radius=bp["a"],
                     delta=bp["delta"], cap_constant=bp["cap_constant"],
                     amplitude=bp["amplitude"])
-    op = _grid_operator(domain, X, params)
+    op = grid_operator(domain, h, X, _spacing(domain, params))
     rep = bump_initial_data(spec, op.points, h, domain=domain, X=X)
     # start 2% above the bump; snapshot every 0.05 up to delta
     snapshots = np.round(np.arange(0.05, bp["delta"], 0.05), 10)
@@ -554,7 +553,33 @@ def _check_quasimode(domain, X, p):
           "the characteristic backend needs a disk domain")
 
 
+def _check_cells(domain, dx, key):
+    _need(domain.diameter() / dx >= MIN_CELLS, key,
+          f"grid must resolve the boundary: >= {MIN_CELLS} cells across")
+
+
+def _check_grid(domain, p):
+    if domain.dimension == 2:
+        return _check_cells(domain, p["dx"], "params.dx")
+    _need(p["n"] >= MIN_POINTS, "params.n",
+          f"need at least {MIN_POINTS} interior points")
+
+
+def _check_pseudospectrum(domain, X, p):
+    _need(len({f"{h:g}" for h in p["h_list"]}) == len(p["h_list"]),
+          "params.h_list", "h values must differ in their first six "
+          "significant digits: each names its output files")
+    if domain.dimension == 2:   # an interval scan keeps at least 8 points
+        _check_cells(domain, max(p["h_list"]) / 8, "params.h_list")
+
+
+def _check_pseudomode(domain, X, p):
+    _check_region(X, p)
+    _check_grid(domain, p)
+
+
 def _check_spectrum(domain, X, p):
+    _check_grid(domain, p)
     if domain.dimension == 1:
         _need(p["k"] <= p["n"] // 4, "params.k",
               f"need k <= n // 4 = {p['n'] // 4}")
@@ -563,10 +588,9 @@ def _check_spectrum(domain, X, p):
 def _check_exit_time(domain, X, p):
     _need(p["dt"] <= p["h"] ** 2 / 4.0, "params.dt",
           "dt must not exceed h^2/4 to resolve the dynamics")
-    _need(np.max(domain.signed_distance(np.array([p["x0"]]))) < 0,
-          "params.x0", "x0 must lie inside the domain")
+    _need(np.all(domain.contains(np.array([p["x0"]]))), "params.x0",
+          "x0 must lie inside the domain")
     if isinstance(domain, (Interval, Disk)):
-        from .operators import conjugated_spectrum_oracle
         from .sde import SUBCRITICAL_FRACTION
         # principal eigenvalue of the generator's conjugated form
         lam1 = conjugated_spectrum_oracle(domain, p["h"],
@@ -580,6 +604,7 @@ def _check_exit_time(domain, X, p):
 
 def _check_blowup(domain, X, p):
     _need(domain.dimension == 1, "domain", "blow-up runs on an interval")
+    _check_grid(domain, p)
     _need(p["alpha"] is None or 0 < p["alpha"] < p["mu"], "params.alpha",
           "the subsolution rate needs 0 < alpha < mu")
 
@@ -627,10 +652,7 @@ REGISTRY = {
                                       "need [re0, re1, im0, im1]"), (4,)),
         "resolution": Key(int, REQUIRED, (lambda r: min(r) >= 1,
                                           "need [n_re, n_im] counts"), (2,)),
-    }, lambda domain, X, p: _need(
-        len({f"{h:g}" for h in p["h_list"]}) == len(p["h_list"]),
-        "params.h_list", "h values must differ in their first six "
-        "significant digits: each names its output files")),
+    }, _check_pseudospectrum),
     "spectrum": Experiment(run_spectrum, {
         "h": POSITIVE_FLOAT, "k": Key(int, REQUIRED, POSITIVE),
         "n": N, "dx": DX, "shift": Key(float, 0.0),
@@ -638,7 +660,7 @@ REGISTRY = {
     "pseudomode": Experiment(run_pseudomode, {
         "z": Z, "h": POSITIVE_FLOAT, "dx": DX,
         "n": Key(int, lambda p, X: int(round(8 / p["h"])), POSITIVE, dim=1),
-    }, lambda domain, X, p: _check_region(X, p)),
+    }, _check_pseudomode),
     "exit-time": Experiment(run_exit_time, {
         "h": POSITIVE_FLOAT, "dt": POSITIVE_FLOAT,
         "n_paths": Key(int, REQUIRED, (lambda v: v >= 2,

@@ -88,21 +88,15 @@ class BumpSpec:
         (The subsolution w0(x - tX) is supported on the translate along +X.)
         """
         X = np.atleast_1d(np.asarray(X, dtype=float))
-        d = self.center.shape[0]
+        # the support's edge: a segment's two ends, 32 points on a circle
+        th = np.linspace(0, 2 * np.pi, 32, endpoint=False)
+        units = np.array([[-1.0], [1.0]]) if self.center.shape[0] == 1 \
+            else np.column_stack([np.cos(th), np.sin(th)])
         for t in np.linspace(0.0, 2.0 * self.delta, _FLOW_CHECKS):
-            c = self.center + t * X
-            if d == 1:
-                lo, hi = c[0] - 2 * self.inner_radius, c[0] + 2 * self.inner_radius
-                if lo <= domain.a or hi >= domain.b:
-                    raise GeometryError(
-                        f"bump support leaves the domain at t = {t:.4f}")
-            else:
-                th = np.linspace(0, 2 * np.pi, 32, endpoint=False)
-                ring = c[None, :] + 2 * self.inner_radius * np.column_stack(
-                    [np.cos(th), np.sin(th)])
-                if np.any(domain.signed_distance(ring) >= 0.0):
-                    raise GeometryError(
-                        f"bump support leaves the domain at t = {t:.4f}")
+            ring = self.center + t * X + 2 * self.inner_radius * units
+            if not np.all(domain.contains(ring)):
+                raise GeometryError(
+                    f"bump support leaves the domain at t = {t:.4f}")
 
 
 @dataclass

@@ -53,6 +53,9 @@ class Interval:
         x = np.asarray(x, dtype=float)
         return np.maximum(self.a - x, x - self.b)
 
+    def contains(self, x) -> np.ndarray:
+        return self.signed_distance(x) < 0.0
+
     def diameter(self) -> float:
         return self.b - self.a
 

@@ -1,11 +1,14 @@
 """Finite-difference discretization of P = -h^2*Laplace + h<X, grad>, Dirichlet.
 
-Interior lattice nodes carry centered second-order stencils; nodes next to a
-curved boundary use Shortley-Weller unequal-arm stencils with the Dirichlet
-value eliminated.  Advection is centered (never upwinded): the point of this
-operator is its non-normality, so the discretization must not add artificial
-dissipation.  Callers are expected to keep dx small enough relative to h
-(grid Peclet |X| dx / (2h) < 1) for the boundary layer to be resolved.
+``grid_operator(domain, h, X, dx)`` builds every P a run uses.  The open
+domain is ``domain.contains``: it picks the interior lattice nodes and ends
+each cut arm.  Interior nodes carry centered second-order stencils; nodes
+next to a curved boundary use Shortley-Weller unequal-arm stencils with the
+Dirichlet value eliminated.  Advection is centered (never upwinded): the
+point of this operator is its non-normality, so the discretization must not
+add artificial dissipation.  Callers are expected to keep dx small enough
+relative to h (grid Peclet |X| dx / (2h) < 1) for the boundary layer to be
+resolved.
 
 X is real, so P is stored in real arithmetic (float64); ``shifted(z)``
 returns the complex P - z.  Every sparse LU of P, of P - z or of
@@ -30,6 +33,9 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
+MIN_POINTS = 8      # the fewest interior points of an interval
+MIN_CELLS = 16      # the fewest lattice cells across a planar domain
+
 
 @dataclass
 class GridOperator:
@@ -42,6 +48,8 @@ class GridOperator:
     matrix: sp.csr_matrix         # float64
     points: np.ndarray            # (n, d) interior node coordinates
     scheme: str
+    uniform_rows: np.ndarray      # the row and its neighbours have only dx arms
+    clamped_rows: np.ndarray      # the row has an arm clamped at 0.1 dx
     regularized_arms: int = 0     # Shortley-Weller arms clamped at 0.1 dx
 
     @property
@@ -52,9 +60,6 @@ class GridOperator:
     def dimension(self) -> int:
         return self.points.shape[1]
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.matrix @ u
-
     def shifted(self, z: complex) -> sp.csr_matrix:
         """P - z, complex even for real z."""
         import scipy.sparse as sp
@@ -64,12 +69,6 @@ class GridOperator:
     def norm_estimate(self) -> float:
         """Infinity norm; cheap scale reference for floors and tolerances."""
         return float(np.max(np.abs(self.matrix).sum(axis=1)))
-
-    def interior_mask_uniform(self) -> np.ndarray:
-        """Rows whose stencil touches no Shortley-Weller arm (2D) / all rows (1D)."""
-        if self.dimension == 1:
-            return np.ones(self.n, dtype=bool)
-        return self._uniform_rows
 
     def grid_manifest(self) -> dict:
         return {
@@ -84,42 +83,48 @@ class GridOperator:
         }
 
 
+def grid_operator(domain, h: float, X, dx: float) -> GridOperator:
+    """P at lattice spacing dx: on an interval, n = round(L/dx) - 1 interior
+    points (at least 8); in the plane, Shortley-Weller arms at the boundary."""
+    if domain.dimension == 1:
+        n = round(domain.diameter() / dx) - 1
+        return assemble_1d(domain, h, X, max(MIN_POINTS, n))
+    return assemble_2d(domain, h, X, dx)
+
+
 def assemble_1d(interval: Interval, h: float, X, n: int) -> GridOperator:
     """Tridiagonal P on n interior points of the interval."""
     import scipy.sparse as sp
-    if n < 8:
-        raise ResolutionError("need at least 8 interior points")
+    if n < MIN_POINTS:
+        raise ResolutionError(f"need at least {MIN_POINTS} interior points")
     Xv = float(np.atleast_1d(X)[0])
-    L = interval.b - interval.a
-    dx = L / (n + 1)
+    dx = interval.diameter() / (n + 1)
     xs = interval.a + dx * np.arange(1, n + 1)
     main = np.full(n, 2.0 * h * h / dx / dx)
     upper = np.full(n - 1, -h * h / dx / dx + h * Xv / (2 * dx))
     lower = np.full(n - 1, -h * h / dx / dx - h * Xv / (2 * dx))
     mat = sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
-    return GridOperator(interval, h, np.array([Xv]), dx, mat,
-                        xs[:, None], "centered-1d")
+    return GridOperator(interval, h, np.array([Xv]), dx, mat, xs[:, None],
+                        "centered-1d", np.ones(n, bool), np.zeros(n, bool))
 
 
 def assemble_2d(domain, h: float, X, dx: float) -> GridOperator:
     """Five-point stencil with Shortley-Weller arms at the curved boundary."""
     import scipy.sparse as sp
     Xv = np.asarray(X, dtype=float)
-    diam = domain.diameter()
-    if diam / dx < 16:
-        raise ResolutionError("grid must resolve the boundary: >= 16 cells across")
+    if domain.diameter() / dx < MIN_CELLS:
+        raise ResolutionError(
+            f"grid must resolve the boundary: >= {MIN_CELLS} cells across")
     # lattice covering the bounding box, half-cell margin
     pts_box = domain.polygonize(256).vertices
     lo = pts_box.min(axis=0) - 0.5 * dx
     hi = pts_box.max(axis=0) + 0.5 * dx
-    nx = int(np.ceil((hi[0] - lo[0]) / dx)) + 1
-    ny = int(np.ceil((hi[1] - lo[1]) / dx)) + 1
+    nx, ny = np.ceil((hi - lo) / dx).astype(int) + 1
     gx = lo[0] + dx * np.arange(nx)
     gy = lo[1] + dx * np.arange(ny)
     GX, GY = np.meshgrid(gx, gy, indexing="ij")
     nodes = np.column_stack([GX.ravel(), GY.ravel()])
-    sd = domain.signed_distance(nodes).reshape(nx, ny)
-    inside = sd < 0.0
+    inside = domain.contains(nodes).reshape(nx, ny)
     idx = -np.ones((nx, ny), dtype=np.int64)
     ii, jj = np.nonzero(inside)
     idx[ii, jj] = np.arange(len(ii))
@@ -129,11 +134,9 @@ def assemble_2d(domain, h: float, X, dx: float) -> GridOperator:
     dirs = [(+1, 0), (-1, 0), (0, +1), (0, -1)]
     arms = np.full((n, 4), dx)
     nbr = -np.ones((n, 4), dtype=np.int64)
-    regularized = 0
-    clamped_rows = np.zeros(n, dtype=bool)
+    clamped = np.zeros((n, 4), dtype=bool)
     for k, (di, dj) in enumerate(dirs):
-        i2 = ii + di
-        j2 = jj + dj
+        i2, j2 = ii + di, jj + dj
         ok = (0 <= i2) & (i2 < nx) & (0 <= j2) & (j2 < ny)
         nin = np.zeros(n, dtype=bool)
         nin[ok] = inside[i2[ok], j2[ok]]
@@ -141,23 +144,17 @@ def assemble_2d(domain, h: float, X, dx: float) -> GridOperator:
         cut = ~nin
         if np.any(cut):
             # bisection for the boundary crossing along the arm
-            t_lo = np.zeros(cut.sum())
-            t_hi = np.ones(cut.sum())
+            t_lo, t_hi = np.zeros(cut.sum()), np.ones(cut.sum())
             base = points[cut]
             step = np.array([di, dj], dtype=float) * dx
             for _ in range(45):
                 t_mid = 0.5 * (t_lo + t_hi)
-                mid_sd = domain.signed_distance(base + t_mid[:, None] * step[None, :])
-                neg = mid_sd < 0
+                neg = domain.contains(base + t_mid[:, None] * step[None, :])
                 t_lo[neg] = t_mid[neg]
                 t_hi[~neg] = t_mid[~neg]
             theta = 0.5 * (t_lo + t_hi)
-            clamped = theta < 0.1
-            regularized += int(np.count_nonzero(clamped))
-            cut_rows = np.nonzero(cut)[0]
-            clamped_rows[cut_rows[clamped]] = True
-            theta = np.maximum(theta, 0.1)
-            arms[cut, k] = theta * dx
+            clamped[cut, k] = theta < 0.1
+            arms[cut, k] = np.maximum(theta, 0.1) * dx
 
     hp, hm = arms[:, 0], arms[:, 1]   # x+ and x- arms
     vp, vm = arms[:, 2], arms[:, 3]   # y+ and y- arms
@@ -177,18 +174,11 @@ def assemble_2d(domain, h: float, X, dx: float) -> GridOperator:
                          (np.concatenate(rows + [np.arange(n)]),
                           np.concatenate(cols + [np.arange(n)]))),
                         shape=(n, n)).tocsr()
-    op = GridOperator(domain, h, Xv, dx, mat, points, "shortley-weller-2d",
-                      regularized_arms=regularized)
     uniform = np.all(np.abs(arms - dx) < 1e-12 * dx, axis=1)
     # a row is uniform-stencil only if it and all neighbors are uncut
-    unif_rows = uniform.copy()
-    for k in range(4):
-        has = nbr[:, k] >= 0
-        unif_rows[has] &= uniform[nbr[has, k]]
-        unif_rows[~has] = False
-    op._uniform_rows = unif_rows
-    op.clamped_rows = clamped_rows
-    return op
+    unif_rows = uniform & np.all(nbr >= 0, axis=1) & np.all(uniform[nbr], axis=1)
+    return GridOperator(domain, h, Xv, dx, mat, points, "shortley-weller-2d",
+                        unif_rows, clamped.any(axis=1), int(clamped.sum()))
 
 
 def factorize(A) -> spla.SuperLU:
@@ -224,18 +214,13 @@ def conjugated_spectrum_oracle(domain, h: float, X, k_max: int) -> np.ndarray:
     """Exact spectrum |X|^2/4 + h^2 lambda_k(-Laplace) for Interval and Disk."""
     Xn2 = float(np.sum(np.atleast_1d(np.asarray(X, dtype=float)) ** 2))
     if isinstance(domain, Interval):
-        L = domain.b - domain.a
         ks = np.arange(1, k_max + 1)
-        return Xn2 / 4.0 + h * h * (np.pi * ks / L) ** 2
+        return Xn2 / 4.0 + h * h * (np.pi * ks / domain.diameter()) ** 2
     if isinstance(domain, Disk):
         from scipy.special import jn_zeros
-        vals = []
-        for m in range(0, k_max + 6):
-            zeros = jn_zeros(m, k_max)
-            lam = (zeros / domain.radius) ** 2
-            mult = 1 if m == 0 else 2     # cos/sin degeneracy
-            vals.extend(list(lam) * mult)
-        vals = np.sort(np.asarray(vals))[:k_max]
-        return Xn2 / 4.0 + h * h * vals
+        # j_{m,k}, twice for m > 0 (the cos/sin degeneracy)
+        zeros = np.concatenate([np.tile(jn_zeros(m, k_max), 1 + (m > 0))
+                                for m in range(k_max + 6)])
+        return Xn2 / 4.0 + h * h * np.sort((zeros / domain.radius) ** 2)[:k_max]
     raise OracleUnavailableError(
         f"no closed-form spectrum for {type(domain).__name__}")

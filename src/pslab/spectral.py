@@ -11,7 +11,8 @@ and a 6-vector Lanczos basis converges in about half the solves of the
 sigma_min(P - z), and a scan rectangle symmetric about the real axis solves
 only its rows with Im z <= 0.  Eigenvalues are shift-invert ARPACK in
 real arithmetic on one LU of P - shift, to the same 1e-10 Ritz tolerance.
-Both LUs come from the one ``operators.factorize``.
+P comes from ``operators.grid_operator``, on the lattice nodes where
+``domain.contains`` holds, and both LUs from ``operators.factorize``.
 
 Localization profiles bin the squared modulus of the minimal singular vector
 by distance to the boundary and by boundary-arc position tagged with the
@@ -30,7 +31,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ResolutionError
 from .geometry import classify_boundary
-from .operators import GridOperator, assemble_1d, assemble_2d, factorize
+from .operators import GridOperator, factorize, grid_operator
 
 SIGMA_FLOOR_FACTOR = 1e-14
 _SEED = 20210607
@@ -145,16 +146,10 @@ def in_region(re_z, im_z, X):
     return re_z >= im_z ** 2 / res ** 2
 
 
-def _operator_for(domain, h: float, X, dx: float) -> GridOperator:
-    if domain.dimension == 1:
-        n = max(8, int(round((domain.b - domain.a) / dx)) - 1)
-        return assemble_1d(domain, h, X, n)
-    return assemble_2d(domain, h, X, dx)
-
-
 def pseudospectrum_scan(domain, X, rect: tuple, resolution: tuple,
                         h_values: Sequence[float]) -> list[PseudospectrumGrid]:
-    """sigma_min over a z-rectangle for each h; dx = h / 8.
+    """sigma_min over a z-rectangle for each h; dx = h / 8, which on an
+    interval of length L is n = round(8 L / h) - 1 interior points (>= 8).
 
     rect = (re_min, re_max, im_min, im_max); resolution = (n_re, n_im).
 
@@ -173,7 +168,7 @@ def pseudospectrum_scan(domain, X, rect: tuple, resolution: tuple,
     solved = (n_im + 1) // 2 if im_min == -im_max else n_im
     out = []
     for h in h_values:
-        op = _operator_for(domain, h, X, h / 8)
+        op = grid_operator(domain, h, X, h / 8)
         res_vals = np.linspace(re_min, re_max, n_re)
         im_vals = np.linspace(im_min, im_max, n_im)
         # sigma, at_floor and converged of each z

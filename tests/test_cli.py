@@ -338,6 +338,22 @@ class TestRunner:
         ("hull", None, {"domain": {"type": "polygon",
                                    "vertices": swapped_circle(3000).tolist()}},
          "domain.vertices"),
+        # grids that assembly would refuse, refused from the config
+        ("spectrum", "params", {"n": 5}, "params.n"),
+        ("blowup", "params", {"n": 4}, "params.n"),
+        ("pseudomode", "params", {"h": 0.5, "dx": 0.2}, "params.dx"),
+        ("pseudomode", None, {"domain": {"type": "interval", "a": 0.0,
+                                         "b": 1.0},
+                              "field": {"X": [1.0]},
+                              "params": {"z": [1.5, 0.5], "h": 1.2}},
+         "params.n"),
+        ("pseudospectrum", None, {"domain": {"type": "disk",
+                                             "center": [0, 0], "radius": 1.0},
+                                  "field": {"X": [1.0, 0.0]},
+                                  "params": {"h_list": [0.1, 1.5],
+                                             "rect": [-0.5, 1.5, -1.0, 1.0],
+                                             "resolution": [4, 3]}},
+         "params.h_list"),
     ], ids=["domain-string", "interval-a-string", "field-X-string", "z-scalar",
             "z-three-entries", "h_list-scalar", "h_list-names-collide",
             "dx_rule-string",
@@ -354,7 +370,9 @@ class TestRunner:
             "lambda-zero-with-survival", "lambda-above-disk-eigenvalue",
             "alpha-above-mu", "x0-outside-interval", "x0-on-boundary",
             "misspelt-key", "n-on-a-disk", "dx-on-an-interval",
-            "grid-key-unknown", "bump-key-unknown", "polygon-not-simple-3000"])
+            "grid-key-unknown", "bump-key-unknown", "polygon-not-simple-3000",
+            "spectrum-n-below-8", "blowup-n-below-8", "disk-dx-too-coarse",
+            "pseudomode-default-n-below-8", "disk-scan-h-too-coarse"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, experiment,
                                       section, patch, key):
         interval = {"type": "interval", "a": 0.0, "b": 1.0}
@@ -364,6 +382,8 @@ class TestRunner:
             "quasimode": {"domain": disk, "field": {"X": [1.0, 0.0]},
                           "params": {"z": [1.0, 0.5], "h": 0.05,
                                      "x0": [1.0, 0.0]}},
+            "pseudomode": {"domain": disk, "field": {"X": [1.0, 0.0]},
+                           "params": {"z": [1.0, 0.5], "h": 0.05}},
             "pseudospectrum": {"domain": interval, "field": {"X": [1.0]},
                                "params": {"h_list": [0.05],
                                           "rect": [-0.5, 1.5, -1.0, 1.0],

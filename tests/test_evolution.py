@@ -108,7 +108,8 @@ class TestEvolve:
         h, mu, u0 = 0.05, 0.3, 1e-3
         op = GridOperator(INTERVAL, h, np.array([1.0]), 0.5,
                           sp.csr_matrix((1, 1)),
-                          np.array([[0.5]]), "scalar")
+                          np.array([[0.5]]), "scalar", np.ones(1, dtype=bool),
+                          np.zeros(1, dtype=bool))
         res = evolve(op, mu, 2.0, np.array([u0]), h / 200.0, 10.0)
         want = scalar_blowup_time(u0, mu, 2.0, h)
         assert res.blew_up
@@ -221,7 +222,8 @@ class TestEvolve:
         h = 0.05
         op = GridOperator(INTERVAL, h, np.array([1.0]), 0.5,
                           sp.csr_matrix((1, 1)),
-                          np.array([[0.5]]), "scalar")
+                          np.array([[0.5]]), "scalar", np.ones(1, dtype=bool),
+                          np.zeros(1, dtype=bool))
         real_factorize = evolution.factorize
         calls = []
 

@@ -3,7 +3,8 @@ with an independent membership test (on a disk, an ellipse, a
 ``ParametricCurve`` tracing an ellipse and an L-shaped polygon), and
 ``classify_boundary`` is equivariant under a rotation of an ellipse
 together with its field.  The polyline helpers behind ``signed_distance``
-return, bit for bit, what an all-edges scan returns.
+return, bit for bit, what an all-edges scan returns, and ``contains`` is
+the sign of that distance: a point at distance exactly 0 is outside.
 
 Curved domains measure distance to their inscribed 4,096-gon, which lies
 within one sagitta of the true boundary, so the sign test only draws points
@@ -19,8 +20,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pslab.geometry import (GLANCING_TOL, Disk, Ellipse, ParametricCurve,
-                            Polygon, _dist_to_polyline, _inside_polygon,
+from pslab.geometry import (GLANCING_TOL, Disk, Ellipse, Interval,
+                            ParametricCurve, Polygon, _dist_to_polyline, _inside_polygon,
                             _polyline_self_intersects, _vertex_diameter,
                             classify_boundary)
 
@@ -316,3 +317,69 @@ def test_vertex_diameter_matches_all_pairs(data, n):
     v = rng.normal(size=(n, 2)) * rng.uniform(0.1, 10.0, 2)
     d2 = np.max(np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=2))
     assert _vertex_diameter(v) == float(np.sqrt(d2))
+
+
+# ------------------------------------------------------------------ #
+#  contains: the open domain, signed_distance < 0
+# ------------------------------------------------------------------ #
+
+def assert_contains_is_open_sign(domain, pts, poly):
+    """contains is signed_distance < 0, and the all-edges reference's sign;
+    a boundary point has distance 0 (-0.0 when counted inside): outside."""
+    got = domain.contains(pts)
+    assert np.array_equal(got, domain.signed_distance(pts) < 0)
+    ref = np.where(reference_inside(pts, poly), -1.0, 1.0) \
+        * reference_distance(pts, poly)
+    assert np.array_equal(got, ref < 0)
+
+
+@POLYLINE
+@given(data=st.data(), cx=_coord, cy=_coord, a=_length, b=_length,
+       angle=_angle)
+def test_contains_on_ellipse_is_open_sign(data, cx, cy, a, b, angle):
+    ell = Ellipse((cx, cy), (a, b), angle)
+    poly = ell._sd_cache()
+    pts = probe_points(data, poly)
+    assert_contains_is_open_sign(ell, pts, poly)
+    assert not ell.contains(poly[::64]).any()
+
+
+@POLYLINE
+@given(data=st.data(), which=st.sampled_from(["L", "Z"]),
+       k=st.sampled_from([1, 7, 160]), ox=_coord, oy=_coord, s=_length)
+def test_contains_on_lshape_and_zshape_is_open_sign(data, which, k, ox, oy,
+                                                    s):
+    poly = subdivide(LSHAPE if which == "L" else ZSHAPE, k) * s + (ox, oy)
+    pts = probe_points(data, poly)
+    assert_contains_is_open_sign(Polygon(poly), pts, poly)
+    assert not Polygon(poly).contains(poly).any()
+
+
+def test_contains_on_polygon_edges_is_false():
+    # a quarter-step lattice over the unscaled shapes: every point with a
+    # coordinate on an axis-parallel edge's line and within its span lies
+    # exactly on the boundary, at distance 0 or -0.0
+    grid = np.stack(np.meshgrid(np.arange(-0.5, 3.75, 0.25),
+                                np.arange(-0.5, 2.75, 0.25)),
+                    -1).reshape(-1, 2)
+    for base in (LSHAPE, ZSHAPE):
+        poly = Polygon(base)
+        sd = poly.signed_distance(grid)
+        on_edge = sd == 0.0
+        assert on_edge.sum() >= 20 and np.signbit(sd[on_edge]).any()
+        assert not poly.contains(grid[on_edge]).any()
+        assert_contains_is_open_sign(poly, grid, base)
+
+
+def test_interval_contains_is_open_sign():
+    iv = Interval(-0.3, 1.7)
+    rng = np.random.default_rng(7)
+    x = np.concatenate([
+        rng.uniform(-1.0, 3.0, 200), [iv.a, iv.b, np.inf, -np.inf, np.nan],
+        np.nextafter([iv.a, iv.a, iv.b, iv.b], [-np.inf, np.inf] * 2)])
+    got = iv.contains(x)
+    assert np.array_equal(got, iv.signed_distance(x) < 0)
+    # a - x < 0 is exactly x > a in IEEE arithmetic
+    assert np.array_equal(got, (iv.a < x) & (x < iv.b))
+    assert got[-3] and got[-2] and not got[-4] and not got[-1]
+    assert iv.contains(x[:, None]).shape == (len(x), 1)

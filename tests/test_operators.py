@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from pslab import operators
+from pslab.cli import _spacing
 from pslab.errors import OracleUnavailableError, ResolutionError
-from pslab.geometry import Disk, Ellipse, Interval
+from pslab.geometry import Disk, Ellipse, Interval, Polygon
 from pslab.operators import (
     assemble_1d,
     assemble_2d,
     conjugated_spectrum_oracle,
     factorize,
+    grid_operator,
     symmetrizer_1d,
 )
 
@@ -33,7 +36,7 @@ class TestAssembly1D:
     def test_constant_vector_annihilated(self):
         op = assemble_1d(INTERVAL, 0.05, 1.0, 100)
         u = np.ones(op.n, dtype=complex)
-        res = op.apply(u)
+        res = op.matrix @ u
         # rows away from the boundary see a constant: derivative terms cancel
         # against the 2/dx^2 diagonal only when including boundary values; in
         # the interior of the stencil band the row sum is exactly zero
@@ -60,7 +63,7 @@ class TestAssembly1D:
         for n in (200, 400):
             op = assemble_1d(INTERVAL, h, X, n)
             x = op.points[:, 0]
-            got = op.apply(f(x).astype(complex))
+            got = op.matrix @ f(x).astype(complex)
             want = -h * h * fpp(x) + h * X * fp(x)
             sl = slice(4, -4)
             errs.append(np.max(np.abs(got[sl] - want[sl])))
@@ -80,9 +83,16 @@ class TestAssembly1D:
         rng = np.random.default_rng(0)
         u = rng.normal(size=80) + 1j * rng.normal(size=80)
         v = rng.normal(size=80) + 1j * rng.normal(size=80)
-        lhs = np.vdot(v, op.apply(u))
-        rhs = np.vdot(opm.apply(v), u)
+        lhs = np.vdot(v, op.matrix @ u)
+        rhs = np.vdot(opm.matrix @ v, u)
         assert abs(lhs - rhs) < 1e-12 * op.norm_estimate() * np.linalg.norm(u) * np.linalg.norm(v)
+
+    def test_row_masks(self):
+        # no arm is cut in one dimension: every row uniform, none clamped
+        op = assemble_1d(INTERVAL, 0.05, 1.0, 50)
+        assert op.uniform_rows.dtype == bool and op.clamped_rows.dtype == bool
+        assert op.uniform_rows.shape == op.clamped_rows.shape == (50,)
+        assert op.uniform_rows.all() and not op.clamped_rows.any()
 
     def test_eigenvalue_convergence_second_order(self):
         h = 0.05
@@ -107,8 +117,8 @@ class TestAssembly2D:
 
     def test_constant_annihilated_in_uniform_interior(self):
         op = assemble_2d(Disk((0, 0), 1.0), 0.2, [1.0, 0.0], 1.0 / 24)
-        res = op.apply(np.ones(op.n, dtype=complex))
-        mask = op.interior_mask_uniform()
+        res = op.matrix @ np.ones(op.n, dtype=complex)
+        mask = op.uniform_rows
         assert np.max(np.abs(res[mask])) < 1e-12 * op.norm_estimate()
 
     def test_disk_laplacian_lowest_eigenvalue(self):
@@ -129,13 +139,13 @@ class TestAssembly2D:
     def test_adjoint_identity_on_uniform_rows(self):
         op = assemble_2d(Disk((0, 0), 1.0), 0.2, [1.0, 0.0], 1.0 / 24)
         opm = assemble_2d(Disk((0, 0), 1.0), 0.2, [-1.0, 0.0], 1.0 / 24)
-        mask = op.interior_mask_uniform()
+        mask = op.uniform_rows
         rng = np.random.default_rng(1)
         u = np.where(mask, rng.normal(size=op.n) + 1j * rng.normal(size=op.n), 0.0)
         v = np.where(mask, rng.normal(size=op.n) + 1j * rng.normal(size=op.n), 0.0)
         # restrict the pairing to rows whose stencils stay uniform
-        lhs = np.vdot(v[mask], op.apply(u)[mask])
-        rhs = np.vdot(opm.apply(v)[mask], u[mask])
+        lhs = np.vdot(v[mask], (op.matrix @ u)[mask])
+        rhs = np.vdot((opm.matrix @ v)[mask], u[mask])
         assert abs(lhs - rhs) < 1e-11 * op.norm_estimate() * np.linalg.norm(u) * np.linalg.norm(v)
 
     def test_shortley_weller_quadratic_exact(self):
@@ -145,11 +155,55 @@ class TestAssembly2D:
         u = (x ** 2 + y ** 2).astype(complex)
         # boundary values x^2+y^2 = 1 were eliminated as zero, so add them back:
         # P(u - 1) with u-1 = 0 on the boundary is what the matrix computes
-        res = op.apply(u - 1.0)
+        res = op.matrix @ (u - 1.0)
         want = -op.h ** 2 * 4.0
         ok = ~op.clamped_rows  # regularized sliver arms trade consistency away
         assert np.max(np.abs(res[ok] - want)) < 1e-8 * op.norm_estimate()
         assert op.regularized_arms > 0
+
+
+LSHAPE = Polygon([(0, 0), (2, 0), (2, 2), (1, 2), (1, 1), (0, 1)])
+
+
+def assert_same_operator(got, want):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.matrix, name), getattr(want.matrix, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.dx == want.dx and got.scheme == want.scheme
+    assert np.array_equal(got.uniform_rows, want.uniform_rows)
+    assert np.array_equal(got.clamped_rows, want.clamped_rows)
+    assert got.regularized_arms == want.regularized_arms
+
+
+class TestGridOperator:
+    INTERVALS = (INTERVAL, Interval(-0.3, 1.7), Interval(2.0, 2.001),
+                 Interval(-1e3, 1e3))
+
+    def test_config_spacing_gives_back_n(self, monkeypatch):
+        # a config's n (validated to be at least 8) becomes dx = L / (n + 1),
+        # which grid_operator turns back into n interior points
+        monkeypatch.setattr(operators, "assemble_1d", lambda iv, h, X, n: n)
+        ns = list(range(8, 200_001))
+        for iv in self.INTERVALS:
+            assert [grid_operator(iv, 0.05, 1.0, _spacing(iv, {"n": n}))
+                    for n in ns] == ns
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 159, 799, 1599, 4000])
+    def test_interval_matches_assemble_1d(self, n):
+        for iv in self.INTERVALS:
+            assert_same_operator(
+                grid_operator(iv, 0.05, 1.0, _spacing(iv, {"n": n})),
+                assemble_1d(iv, 0.05, 1.0, n))
+
+    @pytest.mark.parametrize("domain, X, dx", [
+        (Disk((0, 0), 1.0), [1.0, 0.0], 1.0 / 24),
+        (Ellipse((0.1, -0.2), (1.2, 0.7), 0.4), [1.0, 0.0], 0.1),
+        (LSHAPE, [-1.0, 0.0], 0.025),
+    ], ids=["disk", "ellipse", "lshape"])
+    def test_plane_matches_assemble_2d(self, domain, X, dx):
+        assert_same_operator(grid_operator(domain, 0.05, X, dx),
+                             assemble_2d(domain, 0.05, X, dx))
 
 
 class TestStorage:

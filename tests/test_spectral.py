@@ -169,7 +169,7 @@ class TestScan:
                 (INTERVAL, [1.0], assemble_1d(INTERVAL, 0.01, 1.0, 799)),
                 (Disk((0, 0), 1.0), [1.0, 0.0],
                  assemble_2d(Disk((0, 0), 1.0), 0.1, [1.0, 0.0], 1.0 / 20))):
-            monkeypatch.setattr(spectral, "_operator_for",
+            monkeypatch.setattr(spectral, "grid_operator",
                                 lambda *args, op=op: op)
             for rect, res, calls in (((-0.5, 1.5, -1.0, 1.0), (4, 3), 8),
                                      ((-0.5, 1.5, -1.0, 1.0), (4, 4), 8),
