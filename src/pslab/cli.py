@@ -553,24 +553,27 @@ def _check_quasimode(domain, X, p):
           "the characteristic backend needs a disk domain")
 
 
-def _check_cells(domain, dx, key):
-    _need(domain.diameter() / dx >= MIN_CELLS, key,
-          f"grid must resolve the boundary: >= {MIN_CELLS} cells across")
-
-
 def _check_grid(domain, p):
-    if domain.dimension == 2:
-        return _check_cells(domain, p["dx"], "params.dx")
-    _need(p["n"] >= MIN_POINTS, "params.n",
-          f"need at least {MIN_POINTS} interior points")
+    """P's spacing (for a scan, its largest h / 8) leaves assembly at least
+    MIN_POINTS interior points or MIN_CELLS cells across."""
+    if "h_list" in p:
+        dx, key = max(p["h_list"]) / 8, "params.h_list"
+    else:
+        dx = _spacing(domain, p)
+        key = "params.n" if domain.dimension == 1 else "params.dx"
+    if domain.dimension == 1:
+        _need(round(domain.diameter() / dx) - 1 >= MIN_POINTS, key,
+              f"need at least {MIN_POINTS} interior points")
+    else:
+        _need(domain.diameter() / dx >= MIN_CELLS, key,
+              f"grid must resolve the boundary: >= {MIN_CELLS} cells across")
 
 
 def _check_pseudospectrum(domain, X, p):
     _need(len({f"{h:g}" for h in p["h_list"]}) == len(p["h_list"]),
           "params.h_list", "h values must differ in their first six "
           "significant digits: each names its output files")
-    if domain.dimension == 2:   # an interval scan keeps at least 8 points
-        _check_cells(domain, max(p["h_list"]) / 8, "params.h_list")
+    _check_grid(domain, p)
 
 
 def _check_pseudomode(domain, X, p):

@@ -92,11 +92,12 @@ class BumpSpec:
         th = np.linspace(0, 2 * np.pi, 32, endpoint=False)
         units = np.array([[-1.0], [1.0]]) if self.center.shape[0] == 1 \
             else np.column_stack([np.cos(th), np.sin(th)])
-        for t in np.linspace(0.0, 2.0 * self.delta, _FLOW_CHECKS):
-            ring = self.center + t * X + 2 * self.inner_radius * units
-            if not np.all(domain.contains(ring)):
-                raise GeometryError(
-                    f"bump support leaves the domain at t = {t:.4f}")
+        ts = np.linspace(0.0, 2.0 * self.delta, _FLOW_CHECKS)
+        rings = self.center + ts[:, None, None] * X + 2 * self.inner_radius * units
+        ok = domain.contains(rings.reshape(-1, X.size)).reshape(len(ts), -1).all(axis=1)
+        if not ok.all():
+            raise GeometryError(
+                f"bump support leaves the domain at t = {ts[np.argmin(ok)]:.4f}")
 
 
 @dataclass

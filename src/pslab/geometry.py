@@ -1,7 +1,7 @@
 """Bounded domains, boundary sampling, and field-relative classification.
 
 Domains are intervals (d=1) or planar regions (d=2) bounded by a closed
-curve: disk, ellipse, user-supplied parametric curve, or simple polygon.
+curve: disk, ellipse or simple polygon, the four types a config can name.
 The boundary carries a parameter t in [0,1) increasing counterclockwise.
 
 Against a constant vector field X, boundary points split into illuminated
@@ -210,40 +210,6 @@ class Ellipse(_PlanarDomain):
     def __repr__(self):
         return (f"Ellipse({self.center.tolist()}, {self.semi_axes.tolist()}, "
                 f"{self.angle})")
-
-
-class ParametricCurve(_PlanarDomain):
-    """Closed simple CCW curve given by evaluators for p(t), p'(t), p''(t)."""
-
-    def __init__(self, fn, d1, d2):
-        self.fn, self.d1, self.d2 = fn, d1, d2
-        self._validate()
-
-    def _eval_map(self, f, t):
-        t = np.atleast_1d(t)
-        out = np.asarray([f(float(ti % 1.0)) for ti in t], dtype=float)
-        return out.reshape(len(t), 2)
-
-    def _point(self, t):
-        return self._eval_map(self.fn, t)
-
-    def _velocity(self, t):
-        return self._eval_map(self.d1, t)
-
-    def _accel(self, t):
-        return self._eval_map(self.d2, t)
-
-    def _validate(self):
-        for f, name in ((self.fn, "value"), (self.d1, "derivative"),
-                        (self.d2, "second derivative")):
-            gap = np.max(np.abs(np.asarray(f(0.0)) - np.asarray(f(1.0 - 1e-13))))
-            if gap > 1e-9:
-                raise InvalidDomainError(f"curve not closed: {name} gap {gap:.2e}")
-        poly = self._polyline(1000)
-        if _polygon_area(poly) <= 0:
-            raise InvalidDomainError("curve must be counterclockwise")
-        if _polyline_self_intersects(poly):
-            raise InvalidDomainError("curve is not simple (self-intersection)")
 
 
 class Polygon:
@@ -644,15 +610,6 @@ def boundary_graph_jet(domain, frame: BoundaryFrame, order: int) -> Jet:
     if isinstance(domain, Polygon):
         # valid only in the interior of an edge; the graph is flat there
         return Jet(np.zeros(order + 1), order, 1)
-    if isinstance(domain, ParametricCurve):
-        if order <= 2:
-            g = np.zeros(order + 1, dtype=complex)
-            if order == 2:
-                g[2] = -frame.curvature / 2.0
-            return Jet(g, order, 1)
-        raise GeometryError(
-            "parametric curves expose derivatives only to order 2; "
-            "boundary jets of order > 2 need a Disk/Ellipse domain")
     raise GeometryError(f"no boundary jet rule for {type(domain).__name__}")
 
 

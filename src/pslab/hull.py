@@ -33,6 +33,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import geometry
 from .errors import GeometryError
 from .geometry import (
     INSIDE_TOL,
@@ -40,7 +41,6 @@ from .geometry import (
     _dist_to_polyline,
     _polygon_area,
     _polygon_signed_distance,
-    classify_boundary,
     segment_in_domain,
 )
 
@@ -488,7 +488,7 @@ def predicted_support(domain, field_X, n_samples: int = 1024,
     dimensions; when the shadow boundary is strictly curved everywhere the
     curvature rule independently removes shadow points as well.
     """
-    s = classify_boundary(domain, field_X, n_samples)
+    s = geometry.classify_boundary(domain, field_X, n_samples)
     member = s.classes != "shadow"
     tight_pts = s.points[member]
     tight_arcs = _runs_to_intervals(s.t, member)

@@ -81,9 +81,6 @@ class Jet:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if np.isscalar(other):
             out = self.copy()

@@ -85,10 +85,9 @@ class GridOperator:
 
 def grid_operator(domain, h: float, X, dx: float) -> GridOperator:
     """P at lattice spacing dx: on an interval, n = round(L/dx) - 1 interior
-    points (at least 8); in the plane, Shortley-Weller arms at the boundary."""
+    points; in the plane, Shortley-Weller arms at the boundary."""
     if domain.dimension == 1:
-        n = round(domain.diameter() / dx) - 1
-        return assemble_1d(domain, h, X, max(MIN_POINTS, n))
+        return assemble_1d(domain, h, X, round(domain.diameter() / dx) - 1)
     return assemble_2d(domain, h, X, dx)
 
 

@@ -29,8 +29,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import geometry
 from .errors import ResolutionError
-from .geometry import classify_boundary
 from .operators import GridOperator, factorize, grid_operator
 
 SIGMA_FLOOR_FACTOR = 1e-14
@@ -149,7 +149,7 @@ def in_region(re_z, im_z, X):
 def pseudospectrum_scan(domain, X, rect: tuple, resolution: tuple,
                         h_values: Sequence[float]) -> list[PseudospectrumGrid]:
     """sigma_min over a z-rectangle for each h; dx = h / 8, which on an
-    interval of length L is n = round(8 L / h) - 1 interior points (>= 8).
+    interval of length L is n = round(8 L / h) - 1 interior points.
 
     rect = (re_min, re_max, im_min, im_max); resolution = (n_re, n_im).
 
@@ -292,13 +292,13 @@ def localization_profile(op: GridOperator, vector: np.ndarray, field_X
     domain = op.domain
     if op.dimension == 1:
         dist = np.minimum(pts[:, 0] - domain.a, domain.b - pts[:, 0])
-        classes = classify_boundary(domain, field_X, 2).classes
+        classes = geometry.classify_boundary(domain, field_X, 2).classes
         arc_t = np.where(pts[:, 0] - domain.a < domain.b - pts[:, 0], 0.0, 1.0)
         arc_mass = np.array([mass[arc_t == 0.0].sum(), mass[arc_t == 1.0].sum()])
         arc_centers = np.array([0.0, 1.0])
     else:
         dist = np.abs(domain.signed_distance(pts))
-        samples = classify_boundary(domain, field_X, _ARC_SAMPLES)
+        samples = geometry.classify_boundary(domain, field_X, _ARC_SAMPLES)
         from scipy.spatial import cKDTree
         # deep nodes are near-equidistant from every sample, so the tree
         # prunes little and large leaves cost less than deep descents; the

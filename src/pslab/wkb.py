@@ -51,7 +51,8 @@ from .errors import (
     SeedRestrictionError,
     WrongSideError,
 )
-from .geometry import BoundaryFrame, Disk, boundary_frame, boundary_graph_jet
+from .geometry import (BoundaryFrame, Disk, Polygon, _dist_to_polyline,
+                       boundary_frame, boundary_graph_jet)
 from .jets import Jet
 
 _SEED_TOL = 1e-10
@@ -475,7 +476,8 @@ def build_quasimode(domain, X, x0, z: complex, h: float,
     """One-stop construction used by the CLI and the test fixtures.
 
     The cutoff radii start at 0.15 and 0.30 domain diameters and shrink
-    until Im(phase) is positive on the collar.
+    until Im(phase) is positive on the collar and, on a polygon, the
+    support stays clear of every edge but x0's.
     """
     sp = SpectralPoint(z, h, X)
     frame = boundary_frame(domain, X, x0)
@@ -494,11 +496,21 @@ def build_quasimode(domain, X, x0, z: complex, h: float,
     diameter = domain.diameter()
     r_in, r_out = 0.15 * diameter, 0.30 * diameter
     cut = Cutoff(r_in, r_out)
-    while not collar_check(phases, cut):
+    # on a polygon the graph is x0's edge k, flat, so the support must not
+    # reach the others: the open polyline from edge k + 1 round to k - 1
+    clearance = math.inf
+    if isinstance(domain, Polygon):
+        k = int(domain._edge_of(frame.t)[0])
+        others = np.roll(domain.vertices, -1 - k, axis=0)
+        clearance = _dist_to_polyline(frame.x0[None, :], others, closed=False)[0]
+    while r_out > clearance or not collar_check(phases, cut):
         r_in *= 0.75
         r_out *= 0.75
         if r_out < 1e-3 * diameter:
-            raise CutoffError("collar check failed down to negligible radii")
+            raise CutoffError(
+                f"x0 lies {clearance:.3g} from another polygon edge"
+                if clearance < 1e-3 * diameter else
+                "collar check failed down to negligible radii")
         cut = Cutoff(r_in, r_out)
     return Quasimode(sp, frame, phases, amps, cut, phases[0].boundary_graph)
 

@@ -89,6 +89,16 @@ FROZEN = {
                                             "x0": [1.0, 0.0],
                                             "grid": {"nx": 12, "ny": 10},
                                             "backend": "characteristic"}},
+    # a polygon edge: the cutoff shrinks until the support clears the
+    # edges y = 0 and y = 1, which the flat boundary graph does not see
+    "quasimode-lshape": {"experiment": "quasimode",
+                         "domain": {"type": "polygon",
+                                    "vertices": [[0, 0], [2, 0], [2, 2],
+                                                 [1, 2], [1, 1], [0, 1]]},
+                         "field": {"X": [-1.0, 0.0]},
+                         "params": {"z": [1.0, 0.5], "h": 0.05,
+                                    "x0": [0.0, 0.5],
+                                    "grid": {"nx": 12, "ny": 10}}},
     "pseudospectrum": {"domain": INTERVAL, "field": {"X": [1.0]},
                        "params": {"h_list": [0.05, 0.1],
                                   "rect": [-0.5, 1.5, -1.0, 1.0],
@@ -153,6 +163,8 @@ FROZEN_DIGESTS = {
                           "quasimode_manifest.json": "88cfca8ff92fe6f7"},
     "quasimode-characteristic": {"quasimode_grid.csv": "e2d786a1784d945d",
                                  "quasimode_manifest.json": "b924f46496487bb6"},
+    "quasimode-lshape": {"quasimode_grid.csv": "0047a2c0640f94d1",
+                         "quasimode_manifest.json": "8f00d372ab9a8b02"},
     "pseudospectrum": {"heatmap_h0.05.svg": "729c0fd13e572770",
                        "heatmap_h0.1.svg": "9a79ae4d67518773",
                        "pseudospectrum_h0.05.csv": "c093844d044486ff",
@@ -354,6 +366,8 @@ class TestRunner:
                                              "rect": [-0.5, 1.5, -1.0, 1.0],
                                              "resolution": [4, 3]}},
          "params.h_list"),
+        # dx = h / 8 leaves 7 and 3 interior points of [0, 1]
+        ("pseudospectrum", "params", {"h_list": [1.0, 2.0]}, "params.h_list"),
     ], ids=["domain-string", "interval-a-string", "field-X-string", "z-scalar",
             "z-three-entries", "h_list-scalar", "h_list-names-collide",
             "dx_rule-string",
@@ -372,7 +386,8 @@ class TestRunner:
             "misspelt-key", "n-on-a-disk", "dx-on-an-interval",
             "grid-key-unknown", "bump-key-unknown", "polygon-not-simple-3000",
             "spectrum-n-below-8", "blowup-n-below-8", "disk-dx-too-coarse",
-            "pseudomode-default-n-below-8", "disk-scan-h-too-coarse"])
+            "pseudomode-default-n-below-8", "disk-scan-h-too-coarse",
+            "interval-scan-h-too-coarse"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, experiment,
                                       section, patch, key):
         interval = {"type": "interval", "a": 0.0, "b": 1.0}

@@ -13,7 +13,7 @@ from pslab.evolution import (
     scalar_blowup_time,
     subsolution_check,
 )
-from pslab.geometry import Interval
+from pslab.geometry import Disk, Interval
 from pslab.operators import GridOperator, assemble_1d
 from pslab.spectral import eigenvalues
 
@@ -77,6 +77,27 @@ class TestBump:
         pts = np.linspace(0, 1, 501)[:, None]
         with pytest.raises(GeometryError):
             bump_initial_data(bad, pts, h, domain=INTERVAL, X=[1.0])
+
+    @pytest.mark.parametrize("domain, spec, X, first", [
+        (Interval(0.0, 1.0), BumpSpec([0.7], 0.1, 0.4), [1.0], "0.1016"),
+        (Disk((0, 0), 1.0), BumpSpec([0.0, 0.0], 0.2, 0.4), [1.0, 0.0],
+         "0.6095"),
+        (Interval(0.0, 1.0), fixture_bump(), [1.0], None),
+    ], ids=["interval", "disk", "interval-inside"])
+    def test_flow_condition_asks_contains_once(self, monkeypatch, domain,
+                                               spec, X, first):
+        # all 64 rings go to one contains call; a failure names the first t
+        calls = []
+        contains = domain.contains
+        monkeypatch.setattr(domain, "contains",
+                            lambda pts: calls.append(len(pts)) or contains(pts))
+        if first is None:
+            spec.validate_flow(domain, X)
+        else:
+            with pytest.raises(GeometryError,
+                               match=f"leaves the domain at t = {first}$"):
+                spec.validate_flow(domain, X)
+        assert len(calls) == 1
 
     def test_flow_condition_accepts_fixture(self):
         h = 0.01

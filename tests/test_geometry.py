@@ -7,7 +7,6 @@ from pslab.geometry import (
     Disk,
     Ellipse,
     Interval,
-    ParametricCurve,
     Polygon,
     boundary_frame,
     boundary_graph_jet,
@@ -63,17 +62,6 @@ class TestDomainValidation:
         else:
             with pytest.raises(InvalidDomainError, match=error):
                 Polygon(vertices)
-
-    def test_parametric_curve_closure(self):
-        fn = lambda t: np.array([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)])
-        d1 = lambda t: 2 * np.pi * np.array([-np.sin(2 * np.pi * t), np.cos(2 * np.pi * t)])
-        d2 = lambda t: -(2 * np.pi) ** 2 * np.array([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)])
-        curve = ParametricCurve(fn, d1, d2)
-        assert curve.signed_distance([[0.0, 0.0]])[0] == pytest.approx(-1.0, abs=1e-5)
-
-        bad = lambda t: np.array([np.cos(np.pi * t), np.sin(np.pi * t)])  # half turn
-        with pytest.raises(InvalidDomainError):
-            ParametricCurve(bad, d1, d2)
 
 
 class TestSignedDistance:

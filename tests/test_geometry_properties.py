@@ -1,8 +1,7 @@
 """Property tests of ``geometry``: the sign of ``signed_distance`` agrees
-with an independent membership test (on a disk, an ellipse, a
-``ParametricCurve`` tracing an ellipse and an L-shaped polygon), and
-``classify_boundary`` is equivariant under a rotation of an ellipse
-together with its field.  The polyline helpers behind ``signed_distance``
+with an independent membership test (on a disk, an ellipse and an L-shaped
+polygon), and ``classify_boundary`` is equivariant under a rotation of an
+ellipse together with its field.  The polyline helpers behind ``signed_distance``
 return, bit for bit, what an all-edges scan returns, and ``contains`` is
 the sign of that distance: a point at distance exactly 0 is outside.
 
@@ -21,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pslab.geometry import (GLANCING_TOL, Disk, Ellipse, Interval,
-                            ParametricCurve, Polygon, _dist_to_polyline, _inside_polygon,
+                            Polygon, _dist_to_polyline, _inside_polygon,
                             _polyline_self_intersects, _vertex_diameter,
                             classify_boundary)
 
@@ -64,38 +63,6 @@ def test_ellipse_sign_matches_implicit(data, cx, cy, a, b, angle):
     rho = np.sqrt(F + 1.0)
     keep = np.abs(rho - 1.0) * small > 2 * sagitta
     sd = ell.signed_distance(pts)
-    assert np.array_equal((sd < 0)[keep], (F < 0)[keep])
-
-
-@PROPERTY
-@given(data=st.data(), cx=_coord, cy=_coord, a=_length, b=_length,
-       angle=_angle)
-def test_parametric_curve_sign_matches_implicit(data, cx, cy, a, b, angle):
-    # the ellipse of the test above, given to ParametricCurve as p(t), p'(t)
-    # and p''(t) for t in [0, 1); the curve polygonizes at the same 4,096
-    # parameter steps, so the same sagitta bound holds
-    c = np.array([cx, cy])
-    R = _rot(angle)
-    w = 2 * math.pi
-
-    def fn(t):
-        return c + R @ (a * math.cos(w * t), b * math.sin(w * t))
-
-    def d1(t):
-        return R @ (-w * a * math.sin(w * t), w * b * math.cos(w * t))
-
-    def d2(t):
-        return R @ (-w * w * a * math.cos(w * t), -w * w * b * math.sin(w * t))
-
-    curve = ParametricCurve(fn, d1, d2)
-    big, small = max(a, b), min(a, b)
-    sagitta = (2 * math.pi * big / 4096) ** 2 * big / (4 * small ** 2)
-    pts = c + _points(data, -1.5 * big, 1.5 * big)
-    u, v = ((pts - c) @ R).T
-    F = (u / a) ** 2 + (v / b) ** 2 - 1.0
-    rho = np.sqrt(F + 1.0)
-    keep = np.abs(rho - 1.0) * small > 2 * sagitta
-    sd = curve.signed_distance(pts)
     assert np.array_equal((sd < 0)[keep], (F < 0)[keep])
 
 
@@ -245,27 +212,11 @@ def test_polyline_queries_on_parametric_curve_match_all_edges(data, a, b,
     # an ellipse with a radial wobble r(t) = 1 + wobble cos(6 w t)
     w, k = 2 * math.pi, 6
 
-    def radial(t):
-        c, s = math.cos(k * w * t), math.sin(k * w * t)
-        return (1.0 + wobble * c, -wobble * k * w * s,
-                -wobble * (k * w) ** 2 * c)
-
     def fn(t):
-        r = radial(t)[0]
+        r = 1.0 + wobble * math.cos(k * w * t)
         return np.array([a * r * math.cos(w * t), b * r * math.sin(w * t)])
 
-    def d1(t):
-        r, r1, _ = radial(t)
-        c, s = math.cos(w * t), math.sin(w * t)
-        return np.array([a * (r1 * c - r * w * s), b * (r1 * s + r * w * c)])
-
-    def d2(t):
-        r, r1, r2 = radial(t)
-        c, s = math.cos(w * t), math.sin(w * t)
-        return np.array([a * (r2 * c - 2 * r1 * w * s - r * w * w * c),
-                         b * (r2 * s + 2 * r1 * w * c - r * w * w * s)])
-
-    poly = ParametricCurve(fn, d1, d2)._sd_cache()
+    poly = np.array([fn(t) for t in np.arange(4096) / 4096])
     assert_polyline_queries_match(probe_points(data, poly), poly)
 
 

@@ -196,6 +196,13 @@ class TestGridOperator:
                 grid_operator(iv, 0.05, 1.0, _spacing(iv, {"n": n})),
                 assemble_1d(iv, 0.05, 1.0, n))
 
+    @pytest.mark.parametrize("h", [1.0, 2.0])
+    def test_interval_too_coarse_raises(self, h):
+        # dx = 1/8 leaves 7 interior points, fewer than assembly accepts;
+        # the spacing is not widened to keep 8
+        with pytest.raises(ResolutionError, match="at least 8 interior"):
+            grid_operator(INTERVAL, h, [1.0], 1 / 8)
+
     @pytest.mark.parametrize("domain, X, dx", [
         (Disk((0, 0), 1.0), [1.0, 0.0], 1.0 / 24),
         (Ellipse((0.1, -0.2), (1.2, 0.7), 0.4), [1.0, 0.0], 0.1),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pslab.errors import (
+    CutoffError,
     ExceptionalPointError,
     GeometryError,
     NoQuasimodeError,
@@ -15,7 +16,8 @@ from pslab.errors import (
     SeedRestrictionError,
     WrongSideError,
 )
-from pslab.geometry import Disk, Ellipse, Interval, boundary_frame, boundary_graph_jet
+from pslab.geometry import (Disk, Ellipse, Interval, Polygon, boundary_frame,
+                            boundary_graph_jet)
 from pslab.wkb import (
     CharacteristicPhase,
     Quasimode,
@@ -307,6 +309,23 @@ class TestQuasimode:
             rep = quasimode_residual(q)
         assert q.cutoff.r_outer < 0.6
         assert np.isfinite(rep.norm_u) and np.isfinite(rep.norm_pzu)
+
+    def test_polygon_support_clears_the_other_edges(self):
+        # x0 sits on the L-shape's edge x = 0, 0.5 from the edges y = 0 and
+        # y = 1; the boundary graph is that edge, flat, so u must vanish on
+        # the others (at the default r_outer, 0.849, it read 8.4e-2 of its
+        # interior maximum there)
+        lshape = Polygon([(0, 0), (2, 0), (2, 2), (1, 2), (1, 1), (0, 1)])
+        q = build_quasimode(lshape, [-1.0, 0.0], [0.0, 0.5], 1 + 0.5j, 0.05)
+        assert q.cutoff.r_outer <= 0.5
+        s = np.linspace(0.0, 1.0, 201)
+        for y in (0.0, 1.0):
+            edge = np.column_stack([s, np.full_like(s, y)])
+            assert np.all(q.fields(edge)[0] == 0.0)
+        assert quasimode_residual(q).ratio < 0.2
+        # at a vertex no support clears the next edge, and the error says so
+        with pytest.raises(CutoffError, match="0 from another polygon edge"):
+            build_quasimode(lshape, [-1.0, 0.0], [0.0, 0.0], 1 + 0.5j, 0.05)
 
     def test_residual_refinement_guard(self, monkeypatch):
         # a norm that moves by 2% between the 12- and 18-point rules is
