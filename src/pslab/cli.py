@@ -591,7 +591,7 @@ def _check_spectrum(domain, X, p):
 def _check_exit_time(domain, X, p):
     _need(p["dt"] <= p["h"] ** 2 / 4.0, "params.dt",
           "dt must not exceed h^2/4 to resolve the dynamics")
-    _need(np.all(domain.contains(np.array([p["x0"]]))), "params.x0",
+    _need(domain.contains(np.array([p["x0"]]))[0], "params.x0",
           "x0 must lie inside the domain")
     if isinstance(domain, (Interval, Disk)):
         from .sde import SUBCRITICAL_FRACTION

@@ -39,7 +39,7 @@ _SCRATCH = 1 << 18      # point-by-block and edge-pair entries per chunk
 # ===================================================================== #
 
 class Interval:
-    """Bounded interval (a, b) in one dimension."""
+    """Bounded interval (a, b); its points are (n, 1) arrays, like 2-D ones."""
 
     dimension = 1
 
@@ -50,7 +50,7 @@ class Interval:
         self.b = float(b)
 
     def signed_distance(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float).reshape(-1)
         return np.maximum(self.a - x, x - self.b)
 
     def contains(self, x) -> np.ndarray:
@@ -102,6 +102,10 @@ class _PlanarDomain:
 
     def contains(self, pts) -> np.ndarray:
         return self.signed_distance(pts) < 0.0
+
+    def covers(self, pts) -> np.ndarray:
+        """Closed membership: signed distance at most INSIDE_TOL diameters."""
+        return self.signed_distance(pts) <= INSIDE_TOL * max(self.diameter(), 1.0)
 
     def _sd_cache(self) -> np.ndarray:
         if not hasattr(self, "_sd_poly"):
@@ -275,6 +279,7 @@ class Polygon:
         return _polygon_signed_distance(pts, self.vertices)
 
     contains = _PlanarDomain.contains
+    covers = _PlanarDomain.covers
 
     def boundary_parameter(self, x0):
         x0 = np.asarray(x0, dtype=float)
@@ -442,8 +447,7 @@ def segment_in_domain(domain, p, q) -> bool:
     n_samples = max(8, int(np.linalg.norm(q - p) / (0.002 * max(domain.diameter(), 1e-12))) + 2)
     s = np.linspace(0.0, 1.0, n_samples)
     pts = p[None, :] + s[:, None] * (q - p)[None, :]
-    return bool(np.all(domain.signed_distance(pts)
-                       <= INSIDE_TOL * max(domain.diameter(), 1.0)))
+    return bool(np.all(domain.covers(pts)))
 
 
 # ===================================================================== #
@@ -473,6 +477,9 @@ class BoundaryFrame:
     tangent.  Frame coordinates v are components along the axes, so v1 < 0
     is interior.  The maps loop over the axes, because a single product with
     the stacked axes rounds differently.
+
+    ``clearance`` is x0's distance to the polygon edges other than its own
+    (0 at a vertex); it is inf on a smooth boundary and in one dimension.
     """
     x0: np.ndarray
     normal: np.ndarray
@@ -481,6 +488,7 @@ class BoundaryFrame:
     x_prime: float
     t: float
     curvature: float = 0.0
+    clearance: float = math.inf
 
     @property
     def dimension(self) -> int:
@@ -576,8 +584,14 @@ def boundary_frame(domain, X, x0) -> BoundaryFrame:
     else:
         tangent = np.array([-nu[1], nu[0]])  # CCW tangent fallback
     kappa = float(domain.boundary_curvature([t])[0])
+    clearance = math.inf
+    if isinstance(domain, Polygon):
+        # the open polyline from edge k + 1 round to k - 1, x0 on edge k
+        k = int(domain._edge_of(t)[0])
+        others = np.roll(domain.vertices, -1 - k, axis=0)
+        clearance = _dist_to_polyline(x0[None, :], others, closed=False)[0]
     return BoundaryFrame(np.asarray(x0, dtype=float), nu, tangent, nu1,
-                         x_prime, t, curvature=kappa)
+                         x_prime, t, curvature=kappa, clearance=clearance)
 
 
 # ===================================================================== #

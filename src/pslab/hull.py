@@ -36,7 +36,6 @@ from scipy.spatial import cKDTree
 from . import geometry
 from .errors import GeometryError
 from .geometry import (
-    INSIDE_TOL,
     Polygon,
     _dist_to_polyline,
     _polygon_area,
@@ -149,8 +148,7 @@ def _domain_lattice(domain, spacing: float):
     gy = lo[1] + spacing * np.arange(ny)
     GX, GY = np.meshgrid(gx, gy, indexing="ij")
     nodes = np.column_stack([GX.ravel(), GY.ravel()])
-    sd = domain.signed_distance(nodes)
-    keep = sd <= INSIDE_TOL * max(domain.diameter(), 1.0)
+    keep = domain.covers(nodes)
     return nodes[keep], (lo, spacing, nx, ny, keep.reshape(nx, ny))
 
 
@@ -233,8 +231,7 @@ def generator_points(domain, A) -> np.ndarray:
     allpts = np.asarray(A, dtype=float).reshape(-1, 2)
     if len(allpts) == 0:
         return allpts
-    sd = domain.signed_distance(allpts)
-    return allpts[sd <= INSIDE_TOL * max(domain.diameter(), 1.0) + 1e-12]
+    return allpts[domain.covers(allpts)]
 
 
 def relative_convex_hull(domain, A, resolution: float = None) -> RelativeHull:
@@ -304,13 +301,12 @@ def _closure_sweep(pij: np.ndarray, targets_ij: np.ndarray, domain, S, lo,
         return
     p = lo + spacing * pij
     targets = lo + spacing * targets_ij[idx]
-    tol = INSIDE_TOL * max(domain.diameter(), 1.0)
     lmax = float(np.max(np.linalg.norm(targets - p[None, :], axis=1)))
     ns = max(4, int(np.ceil(lmax / (0.4 * spacing))) + 1)
     s = np.linspace(0.0, 1.0, ns)
     seg = p[None, None, :] + s[:, None, None] * (targets[None, :, :] - p[None, None, :])
-    sd = domain.signed_distance(seg.reshape(-1, 2)).reshape(ns, len(targets))
-    good = idx[np.all(sd <= tol, axis=0)]
+    inside = domain.covers(seg.reshape(-1, 2)).reshape(ns, len(targets))
+    good = idx[inside.all(axis=0)]
     # interior points pij + m * delta / g for m = 1 .. g - 1 of each segment
     inner = g[good] - 1
     m = np.arange(inner.sum()) - np.repeat(np.cumsum(inner) - inner, inner) + 1

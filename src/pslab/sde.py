@@ -168,8 +168,7 @@ class _Level:
                     self.b(path[j].T), dtype=float).reshape(n, d).T * self.dt
                 path[j + 1] += path[j] + c
             new = path[1:].transpose(0, 2, 1).reshape(L * n, d)
-            sd = self.domain.signed_distance(new if d > 1 else new[:, 0]
-                                             ).reshape(L, n)
+            sd = self.domain.signed_distance(new).reshape(L, n)
             k0, self.k = self.k, self.k + L
             crossed = sd >= 0.0
             if not crossed.any():
@@ -207,8 +206,7 @@ def _simulate(domain, b, h: float, x0, seed: int, n_paths: int, t_max: float,
     out = [ExitEnsemble(np.full(n_paths, t_max), np.tile(x0, (n_paths, 1)),
                         np.zeros(n_paths, dtype=bool), h, dt, t_max, seed, x0)
            for dt, _, _ in levels]
-    start_sd = float(np.atleast_1d(domain.signed_distance(
-        x0[None, :] if d > 1 else x0))[0])
+    start_sd = float(domain.signed_distance(x0[None, :])[0])
     if start_sd > 0.0:
         raise GeometryError(f"start point {x0.tolist()} lies outside {domain}")
     if start_sd == 0.0:

@@ -290,14 +290,13 @@ def localization_profile(op: GridOperator, vector: np.ndarray, field_X
     mass = mass / mass.sum()
     pts = op.points
     domain = op.domain
+    dist = np.abs(domain.signed_distance(pts))
     if op.dimension == 1:
-        dist = np.minimum(pts[:, 0] - domain.a, domain.b - pts[:, 0])
         classes = geometry.classify_boundary(domain, field_X, 2).classes
         arc_t = np.where(pts[:, 0] - domain.a < domain.b - pts[:, 0], 0.0, 1.0)
         arc_mass = np.array([mass[arc_t == 0.0].sum(), mass[arc_t == 1.0].sum()])
         arc_centers = np.array([0.0, 1.0])
     else:
-        dist = np.abs(domain.signed_distance(pts))
         samples = geometry.classify_boundary(domain, field_X, _ARC_SAMPLES)
         from scipy.spatial import cKDTree
         # deep nodes are near-equidistant from every sample, so the tree

@@ -333,4 +333,4 @@ def test_interval_contains_is_open_sign():
     # a - x < 0 is exactly x > a in IEEE arithmetic
     assert np.array_equal(got, (iv.a < x) & (x < iv.b))
     assert got[-3] and got[-2] and not got[-4] and not got[-1]
-    assert iv.contains(x[:, None]).shape == (len(x), 1)
+    assert iv.contains(x[:, None]).shape == (len(x),)
