@@ -31,8 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, PslabError
-from .geometry import Disk, Ellipse, Interval, Polygon, classify_boundary
+from .errors import ConfigError, GeometryError, PslabError, WrongSideError
+from .geometry import (Disk, Ellipse, Interval, Polygon, boundary_frame,
+                       classify_boundary)
 from .operators import (MIN_CELLS, MIN_POINTS, conjugated_spectrum_oracle,
                         grid_operator)
 # neither loads scipy; each runner imports the modules that do
@@ -502,17 +503,23 @@ def run_exit_time(domain, X, params, art: Artifacts):
             "lo": [sv.lower for sv in svs], "hi": [sv.upper for sv in svs]})
 
 
+def _bump(bp: dict):
+    """The BumpSpec of a validated params.bump block."""
+    from .evolution import BumpSpec
+    return BumpSpec(center=bp["center"], inner_radius=bp["a"],
+                    delta=bp["delta"], cap_constant=bp["cap_constant"],
+                    amplitude=bp["amplitude"])
+
+
 def run_blowup(domain, X, params, art: Artifacts):
-    from .evolution import (BLOWUP_THRESHOLD, BumpSpec, bump_initial_data,
-                            evolve, subsolution_check)
+    from .evolution import (BLOWUP_THRESHOLD, bump_initial_data, evolve,
+                            subsolution_check)
     from .spectral import eigenvalues
     h, mu, p = params["h"], params["mu"], params["p"]
     bp = params["bump"]
-    spec = BumpSpec(center=bp["center"], inner_radius=bp["a"],
-                    delta=bp["delta"], cap_constant=bp["cap_constant"],
-                    amplitude=bp["amplitude"])
+    spec = _bump(bp)
     op = grid_operator(domain, h, X, _spacing(domain, params))
-    rep = bump_initial_data(spec, op.points, h, domain=domain, X=X)
+    rep = bump_initial_data(spec, op.points, h)
     # start 2% above the bump; snapshot every 0.05 up to delta
     snapshots = np.round(np.arange(0.05, bp["delta"], 0.05), 10)
     res = evolve(op, mu, p, 1.02 * rep.values, params["dt"], params["t_end"],
@@ -546,11 +553,24 @@ def _check_region(X, p, message="z must be strictly inside the region"):
 
 
 def _check_quasimode(domain, X, p):
+    from .wkb import MIN_CUTOFF, SpectralPoint, phase_seed
     _check_region(X, p, "no-quasimode condition violated: quasimodes exist "
                   "only for Re z > (Im z)^2/|X|^2; on the boundary parabola "
                   "there are none")
     _need(p["backend"] == "jet" or isinstance(domain, Disk), "params.backend",
           "the characteristic backend needs a disk domain")
+    try:
+        frame = boundary_frame(domain, X, p["x0"])
+    except GeometryError as e:
+        raise ConfigError("params.x0", str(e)) from e
+    _need(frame.clearance >= MIN_CUTOFF * domain.diameter(), "params.x0",
+          f"x0 lies {frame.clearance:.3g} from another polygon edge")
+    try:
+        phase_seed(frame, SpectralPoint(complex(*p["z"]), p["h"], X))
+    except WrongSideError as e:
+        raise ConfigError("params.x0", str(e)) from e
+    except PslabError as e:
+        raise ConfigError("params.z", str(e)) from e
 
 
 def _check_grid(domain, p):
@@ -610,6 +630,16 @@ def _check_blowup(domain, X, p):
     _check_grid(domain, p)
     _need(p["alpha"] is None or 0 < p["alpha"] < p["mu"], "params.alpha",
           "the subsolution rate needs 0 < alpha < mu")
+    spec = _bump(p["bump"])
+    try:
+        spec.validate_flow(domain, X)
+    except GeometryError as e:
+        raise ConfigError("params.bump.center", str(e)) from e
+    try:
+        spec.validate_cap(p["h"])
+    except PslabError as e:
+        raise ConfigError("params.bump.cap_constant" if p["bump"]["amplitude"]
+                          is None else "params.bump.amplitude", str(e)) from e
 
 
 def _default_t_max(p, X):

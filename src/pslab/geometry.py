@@ -32,6 +32,7 @@ GLANCING_TOL = 1e-10
 _ON_BOUNDARY_TOL = 1e-10
 INSIDE_TOL = 1e-9       # closed-domain membership, relative to the diameter
 _SCRATCH = 1 << 18      # point-by-block and edge-pair entries per chunk
+_SD_VERTICES = 4096     # the polygon behind a curved domain's signed distance
 
 
 # ===================================================================== #
@@ -104,12 +105,20 @@ class _PlanarDomain:
         return self.signed_distance(pts) < 0.0
 
     def covers(self, pts) -> np.ndarray:
-        """Closed membership: signed distance at most INSIDE_TOL diameters."""
-        return self.signed_distance(pts) <= INSIDE_TOL * max(self.diameter(), 1.0)
+        """Closed membership: signed distance at most INSIDE_TOL diameters
+        plus twice the sagitta, the largest signed distance of the boundary
+        between the vertices of the polygon behind a curve's distance (3.5e-7
+        on an ellipse; 0 up to rounding where the distance is exact)."""
+        if not hasattr(self, "_cover_tol"):
+            n = _SD_VERTICES
+            mid = self.boundary_points((np.arange(n) + 0.5) / n)
+            sagitta = max(float(np.max(self.signed_distance(mid))), 0.0)
+            self._cover_tol = INSIDE_TOL * max(self.diameter(), 1.0) + 2 * sagitta
+        return self.signed_distance(pts) <= self._cover_tol
 
     def _sd_cache(self) -> np.ndarray:
         if not hasattr(self, "_sd_poly"):
-            self._sd_poly = self._polyline(4096)
+            self._sd_poly = self._polyline(_SD_VERTICES)
         return self._sd_poly
 
     def boundary_parameter(self, x0) -> float:

@@ -58,6 +58,7 @@ _SEED_TOL = 1e-10
 # the phase seed's tangential momentum for a real z off normal incidence,
 # as a share of nu1 sqrt(Re z) in unit-field units
 TANGENTIAL_SHARE = 0.5
+MIN_CUTOFF = 1e-3           # smallest outer cutoff radius, in domain diameters
 _COLLAR_SAMPLES = 400       # boundary samples of the cutoff collar check
 _INTERIOR_SAMPLES = 41      # tangential samples of its interior lattice
 _INTERIOR_DEPTHS = 20       # depths below the boundary graph per sample
@@ -499,10 +500,10 @@ def build_quasimode(domain, X, x0, z: complex, h: float,
     while r_out > frame.clearance or not collar_check(phases, cut):
         r_in *= 0.75
         r_out *= 0.75
-        if r_out < 1e-3 * diameter:
+        if r_out < MIN_CUTOFF * diameter:
             raise CutoffError(
                 f"x0 lies {frame.clearance:.3g} from another polygon edge"
-                if frame.clearance < 1e-3 * diameter else
+                if frame.clearance < MIN_CUTOFF * diameter else
                 "collar check failed down to negligible radii")
         cut = Cutoff(r_in, r_out)
     return Quasimode(sp, frame, phases, amps, cut, phases[0].boundary_graph)

@@ -256,7 +256,8 @@ def test_criterion_7_blowup():
     op = assemble_1d(INTERVAL, h, 1.0, 2000)
     spec = BumpSpec(center=[0.15], inner_radius=0.05, delta=0.36,
                     cap_constant=10.0, amplitude=math.exp(-1.0 / (10.0 * h)))
-    rep = bump_initial_data(spec, op.points, h, domain=INTERVAL, X=[1.0])
+    spec.validate_flow(INTERVAL, [1.0])
+    rep = bump_initial_data(spec, op.points, h)
     assert rep.peak <= math.exp(-1.0 / (10.0 * h)) * (1 + 1e-12)
     snaps = list(np.round(np.arange(0.05, 0.36, 0.05), 10))
     res = evolve(op, mu, p, 1.02 * rep.values, 2e-4, 0.6,

@@ -368,6 +368,32 @@ class TestRunner:
          "params.h_list"),
         # dx = h / 8 leaves 7 and 3 interior points of [0, 1]
         ("pseudospectrum", "params", {"h_list": [1.0, 2.0]}, "params.h_list"),
+        # x0 and z that the quasimode construction would refuse once started
+        ("quasimode", "params", {"x0": [0.5, 0.0]}, "params.x0"),
+        ("quasimode", "params", {"x0": [-1.0, 0.0]}, "params.x0"),
+        ("quasimode", "params", {"z": [0.25, 0.0]}, "params.z"),
+        ("quasimode", None, {"domain": {"type": "interval", "a": 0.0, "b": 1.0},
+                             "field": {"X": [1.0]},
+                             "params": {"z": [0.5, 0.0], "h": 0.05,
+                                        "x0": [1.0]}},
+         "params.z"),
+        ("quasimode", None, {"domain": {"type": "polygon",
+                                        "vertices": [[0, 0], [2, 0], [2, 2],
+                                                     [1, 2], [1, 1], [0, 1]]},
+                             "field": {"X": [-1.0, 0.0]},
+                             "params": {"z": [1.0, 0.5], "h": 0.05,
+                                        "x0": [0.0, 0.0]}},
+         "params.x0"),
+        # bumps that the blow-up run would refuse once started
+        ("blowup", "params", {"bump": {"center": [0.8], "a": 0.05,
+                                       "delta": 0.36}}, "params.bump.center"),
+        ("blowup", "params", {"bump": {"center": [0.15], "a": 0.05,
+                                       "delta": 0.36, "amplitude": 0.5,
+                                       "cap_constant": 10.0}},
+         "params.bump.amplitude"),
+        ("blowup", "params", {"bump": {"center": [0.15], "a": 0.05,
+                                       "delta": 0.36, "cap_constant": 1.0}},
+         "params.bump.cap_constant"),
     ], ids=["domain-string", "interval-a-string", "field-X-string", "z-scalar",
             "z-three-entries", "h_list-scalar", "h_list-names-collide",
             "dx_rule-string",
@@ -387,7 +413,10 @@ class TestRunner:
             "grid-key-unknown", "bump-key-unknown", "polygon-not-simple-3000",
             "spectrum-n-below-8", "blowup-n-below-8", "disk-dx-too-coarse",
             "pseudomode-default-n-below-8", "disk-scan-h-too-coarse",
-            "interval-scan-h-too-coarse"])
+            "interval-scan-h-too-coarse", "x0-off-boundary", "x0-in-shadow",
+            "z-excluded-value", "interval-real-z-above-quarter",
+            "x0-at-lshape-vertex", "bump-leaves-domain", "bump-above-cap",
+            "bump-cap-below-default-peak"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, experiment,
                                       section, patch, key):
         interval = {"type": "interval", "a": 0.0, "b": 1.0}

@@ -76,7 +76,7 @@ class TestBump:
         bad = BumpSpec(center=[0.7], inner_radius=0.1, delta=0.4)
         pts = np.linspace(0, 1, 501)[:, None]
         with pytest.raises(GeometryError):
-            bump_initial_data(bad, pts, h, domain=INTERVAL, X=[1.0])
+            bad.validate_flow(INTERVAL, [1.0])
 
     @pytest.mark.parametrize("domain, spec, X, first", [
         (Interval(0.0, 1.0), BumpSpec([0.7], 0.1, 0.4), [1.0], "0.1016"),
@@ -103,7 +103,8 @@ class TestBump:
         h = 0.01
         spec = fixture_bump(h)
         pts = np.linspace(0, 1, 501)[:, None]
-        rep = bump_initial_data(spec, pts, h, domain=INTERVAL, X=[1.0])
+        spec.validate_flow(INTERVAL, [1.0])
+        rep = bump_initial_data(spec, pts, h)
         assert rep.ineq_beta > 0.0
 
     def test_differential_inequality_spot_check(self):
@@ -167,7 +168,7 @@ class TestEvolve:
         h = 0.01
         op = fixture_operator(h, 2000)
         spec = fixture_bump(h)
-        rep = bump_initial_data(spec, op.points, h, domain=INTERVAL, X=[1.0])
+        rep = bump_initial_data(spec, op.points, h)
         res = evolve(op, 0.2, 2.0, 1.02 * rep.values, 2e-4, 0.6,
                      snapshot_times=np.arange(0.05, 0.40, 0.05))
         assert res.blew_up
@@ -271,7 +272,7 @@ class TestEvolve:
         spec = BumpSpec(center=[0.15], inner_radius=0.05, delta=0.36,
                         cap_constant=25.0,
                         amplitude=0.01 * math.exp(-1.0 / (25.0 * h)))
-        rep = bump_initial_data(spec, op.points, h, domain=INTERVAL, X=[1.0])
+        rep = bump_initial_data(spec, op.points, h)
         res = evolve(op, 0.2, 2.0, 1.02 * rep.values, 2e-4, spec.delta)
         assert res.blew_up
         assert res.t_blowup < spec.delta
@@ -293,7 +294,8 @@ class TestSubsolution:
         h = 0.01
         op = fixture_operator(h, 2000)
         spec = fixture_bump(h)
-        rep = bump_initial_data(spec, op.points, h, domain=INTERVAL, X=[1.0])
+        spec.validate_flow(INTERVAL, [1.0])
+        rep = bump_initial_data(spec, op.points, h)
         res = evolve(op, 0.2, 2.0, 1.02 * rep.values, 2e-4, 0.6,
                      snapshot_times=np.round(np.arange(0.05, 0.36, 0.05), 10))
         report = subsolution_check(res, spec, 0.1, [1.0], op.points)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pslab.cli import run
-from pslab.geometry import Disk, Polygon
+from pslab.geometry import Disk, Ellipse, Polygon
 from pslab.hull import (
     hausdorff_distance,
     predicted_support,
@@ -176,6 +176,16 @@ class TestPredictedSupport:
         assert pred.hull.area == pytest.approx(1.0, rel=0.05)
         h_total = arc_total(pred.hull_arcs)
         assert h_total > 0.95
+
+    def test_ellipse_keeps_generators_between_polygon_vertices(self):
+        # 1,000 samples fall between the vertices of the 4,096-gon behind the
+        # ellipse's distance, up to 3.5e-7 outside it; closed membership must
+        # still keep every one (1,024 samples fall on the vertices)
+        ell = Ellipse((0.1, -0.2), (1.2, 0.7), 0.4)
+        pred = predicted_support(ell, [1.0, 0.0], n_samples=1000)
+        assert len(pred.tight_points) == len(pred.hull.generators) == 500
+        ref = predicted_support(ell, [1.0, 0.0], n_samples=1024)
+        assert pred.hull.area == pytest.approx(ref.hull.area, abs=1e-3)
 
 
 class TestBitIdentity:
