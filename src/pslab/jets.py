@@ -5,12 +5,28 @@ a polynomial truncated at total degree K.  Coefficients live in a dense
 ``(K+1,)*d`` complex array indexed by exponent; entries with total degree
 above K are kept at zero.  Arithmetic is exact on the stored coefficients;
 multiplication truncates back to the jet order unless asked not to.
+
+``eval_jets`` evaluates a list of jets at real points in one pass: per block
+of ``_BLOCK`` points it builds the M monomials of total degree <= D once (D
+the largest order; M = (D+1)(D+2)/2 in d = 2, 45 at D = 8), each power as
+the product of the one below and the coordinate.  The jets of one order K
+share one matmul of their stacked coefficients with the first M_K
+monomials, real and imaginary parts as two real matmuls.  Each value is
+within sqrt(2) (M + D) u sum |c| |x|^k of exact (u = eps / 2) in any
+summation order the BLAS picks; ``tests/test_jet_properties.py`` checks
+it against Horner's rule.  ``Jet.eval`` is that evaluator on one jet.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
+
+# points per monomial basis block of eval_jets.  A quasimode of order 4 to
+# 6 stacks at most 8 jets of one order, so each of its matmuls stays below
+# OpenBLAS's threading cutoff of 262,144 multiply-adds and runs on the
+# calling thread: on a 2-core box shared with another process, BLAS worker
+# threads made the residual 2 to 8 times slower
+_BLOCK = 1024
 
 
 def _total_degree_mask(order: int, dim: int, shape: tuple) -> np.ndarray:
@@ -113,11 +129,12 @@ class Jet:
         return Jet(d, self.order, self.dim)
 
     def eval(self, *points) -> np.ndarray:
-        """Evaluate at points; each argument is an array of one coordinate."""
-        if self.dim == 1:
-            return npoly.polyval(np.asarray(points[0]), self.coeffs)
-        return npoly.polyval2d(np.asarray(points[0]), np.asarray(points[1]),
-                               self.coeffs)
+        """Evaluate at real points; each argument is an array of one
+        coordinate, and the result has their shape."""
+        coords = np.broadcast_arrays(*(np.asarray(p, dtype=float)
+                                       for p in points))
+        pts = np.stack([c.ravel() for c in coords], axis=-1)
+        return eval_jets([self], pts)[0].reshape(coords[0].shape)[()]
 
     def compose_graph(self, g: "Jet") -> "Jet":
         """Restrict a 2-variable jet to the curve v1 = g(t), v2 = t.
@@ -142,6 +159,38 @@ class Jet:
         """Largest coefficient magnitude among terms of total degree <= degree."""
         mask = _total_degree_mask(degree, self.dim, self.coeffs.shape)
         return float(np.abs(self.coeffs[mask]).max()) if mask.any() else 0.0
+
+
+def eval_jets(jets, pts) -> np.ndarray:
+    """(J, n) values of the J jets, all in d variables, at the real (n, d)
+    points: one monomial basis per block of points serves every jet."""
+    coords = np.asarray(pts, dtype=float).T.copy()      # (d, n)
+    dim, n = coords.shape
+    top = max(j.order for j in jets)
+    # monomials by total degree t, x^t first within a degree: a jet of
+    # order K needs only the first M_K of them
+    exps = (np.arange(top + 1),) if dim == 1 else tuple(np.array(
+        [(t - m, m) for t in range(top + 1) for m in range(t + 1)]).T)
+    groups = []                  # jets of one order share one matmul
+    for order in sorted({j.order for j in jets}):
+        rows = [r for r, j in enumerate(jets) if j.order == order]
+        size = order + 1 if dim == 1 else (order + 1) * (order + 2) // 2
+        coef = np.array([jets[r].coeffs[tuple(e[:size] for e in exps)]
+                         for r in rows])
+        groups.append((rows, size, coef.real.copy(), coef.imag.copy()))
+    out = np.empty((len(jets), n), dtype=complex)
+    for lo in range(0, n, _BLOCK):
+        x = coords[:, lo:lo + _BLOCK]
+        powers = np.empty((dim, top + 1, x.shape[1]))   # powers[a, k] = x_a^k
+        powers[:, 0] = 1.0
+        for k in range(1, top + 1):
+            np.multiply(powers[:, k - 1], x, out=powers[:, k])
+        basis = powers[0] if dim == 1 else np.concatenate(
+            [powers[0, t::-1] * powers[1, :t + 1] for t in range(top + 1)])
+        for rows, size, re, im in groups:
+            out.real[rows, lo:lo + _BLOCK] = re @ basis[:size]
+            out.imag[rows, lo:lo + _BLOCK] = im @ basis[:size]
+    return out
 
 
 def _conv2(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -52,7 +52,7 @@ from .errors import (
     WrongSideError,
 )
 from .geometry import BoundaryFrame, Disk, boundary_frame, boundary_graph_jet
-from .jets import Jet
+from .jets import Jet, eval_jets
 
 _SEED_TOL = 1e-10
 # the phase seed's tangential momentum for a real z off normal incidence,
@@ -210,13 +210,34 @@ class PhaseJet:
     lap: Jet
     eik: Jet                     # exact p_z(d phi), degree up to 2*order-2
 
+    @property
+    def jets(self) -> list[Jet]:
+        """phi, its frame gradient, Laplacian and p_z(d phi), in that order."""
+        return [self.jet, *self.grad, self.lap, self.eik]
+
     def phase_data(self, pts: np.ndarray, w: np.ndarray):
         """phi, frame gradient, laplacian and exact p_z(d phi) at frame
         coordinates ``w`` (the ambient ``pts`` are not needed)."""
-        args = w.T
-        grad = np.stack([g.eval(*args) for g in self.grad], axis=1)
-        return (self.jet.eval(*args), grad, self.lap.eval(*args),
-                self.eik.eval(*args))
+        phi, grad, lap, rest = _value_grad_lap(eval_jets(self.jets, w),
+                                               self.jet.dim)
+        return phi, grad, lap, rest[0]
+
+
+def _value_grad_lap(rows: np.ndarray, d: int):
+    """A value, its (n, d) frame gradient and its Laplacian from the first
+    d + 2 rows of an ``eval_jets`` result, and the rows after them."""
+    return rows[0], rows[1:d + 1].T, rows[d + 1], rows[d + 2:]
+
+
+def _amplitude_jets(amps: Sequence[Jet], h: float) -> list[Jet]:
+    """a = sum h^n psi_n, its frame gradient and Laplacian, as jets."""
+    d = amps[0].dim
+    a = Jet.zero(amps[0].order, d)
+    for n, psi in enumerate(amps):
+        a = a + (h ** n) * psi
+    grad = [a.diff(ax) for ax in range(d)]
+    lap = sum((g.diff(ax) for ax, g in enumerate(grad)), Jet.zero(a.order, d))
+    return [a, *grad, lap]
 
 
 def _phi0_coeffs(seed: PhaseSeed, order: int) -> np.ndarray:
@@ -381,34 +402,28 @@ class Quasimode:
     cutoff: Cutoff
     boundary_graph: Jet
 
+    def __post_init__(self):
+        # every jet fields() evaluates, stacked once: per phase the
+        # PhaseJet's jets (none for a CharacteristicPhase), then its
+        # amplitude's
+        self._jets = []
+        for phase, amps in zip(self.phases, self.amplitudes):
+            if isinstance(phase, PhaseJet):
+                self._jets += phase.jets
+            self._jets += _amplitude_jets(amps, self.sp.h)
+
     @property
     def dim(self) -> int:
         return self.frame.dimension
 
     # -------------------------------------------------------------- #
-    def _amp_data(self, i: int, w: np.ndarray):
-        """a = sum h^n psi_n and its frame gradient / laplacian at the points."""
-        h = self.sp.h
-        args = w.T
-        a = np.zeros(w.shape[0], dtype=complex)
-        ga = np.zeros((w.shape[0], self.dim), dtype=complex)
-        la = np.zeros(w.shape[0], dtype=complex)
-        for n, psi in enumerate(self.amplitudes[i]):
-            hn = h ** n
-            a += hn * psi.eval(*args)
-            for ax in range(self.dim):
-                ga[:, ax] += hn * psi.diff(ax).eval(*args)
-            la += hn * sum(psi.diff(ax).diff(ax).eval(*args)
-                           for ax in range(self.dim))
-        return a, ga, la
-
     def _exp_phase(self, phi: np.ndarray) -> np.ndarray:
         ex = 1j * phi / self.sp.h
         return np.exp(np.clip(ex.real, -700.0, 700.0) + 1j * ex.imag)
 
     def fields(self, pts) -> tuple[np.ndarray, np.ndarray]:
         """u and (P - z) u at ``pts``, the latter by the exact
-        differentiation identity, from one phase and amplitude pass."""
+        differentiation identity, from one evaluation of every jet."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         w = self.frame.coords(pts)
         X_frame = self.frame.components(self.sp.X)
@@ -420,19 +435,24 @@ class Quasimode:
         if not np.any(live):
             return u, pz_u
         wl, pl = w[live], pts[live]
-        h = self.sp.h
+        h, d = self.sp.h, self.dim
         rl = np.maximum(r[live], 1e-300)
         grad_chi = dchi[live][:, None] * wl / rl[:, None]
-        lap_chi = ddchi[live] + dchi[live] * (self.dim - 1) / rl
+        lap_chi = ddchi[live] + dchi[live] * (d - 1) / rl
         total = np.zeros(live.sum(), dtype=complex)
         acc = np.zeros(live.sum(), dtype=complex)
-        for i, sign in ((0, 1.0), (1, -1.0)):
-            phi, gphi, lphi, eik = self.phases[i].phase_data(pl, wl)
-            a, ga, la = self._amp_data(i, wl)
+        rows = eval_jets(self._jets, wl)
+        for phase, sign in zip(self.phases, (1.0, -1.0)):
+            if isinstance(phase, PhaseJet):
+                phi, gphi, lphi, rows = _value_grad_lap(rows, d)
+                eik, rows = rows[0], rows[1:]
+            else:
+                phi, gphi, lphi, eik = phase.phase_data(pl, wl)
+            a, ga, la, rows = _value_grad_lap(rows, d)
             expf = self._exp_phase(phi)
             total += sign * a * expf
             transport = np.zeros_like(a)
-            for ax in range(self.dim):
+            for ax in range(d):
                 transport += (-2j * gphi[:, ax] * ga[:, ax]
                               + X_frame[ax] * ga[:, ax])
             transport += -1j * lphi * a

@@ -155,15 +155,15 @@ FROZEN_DIGESTS = {
              "tight_arcs.csv": "8e08764d13dd7981"},
     "hull-lshape": {"hull.geojson": "0858947c9f9ad8c8",
                     "hull_arcs.csv": "73ab6ceb4a810609"},
-    "quasimode": {"quasimode_grid.csv": "527c3650f40b0132",
-                  "quasimode_manifest.json": "0c3043fcf9c7c51d"},
+    "quasimode": {"quasimode_grid.csv": "b8f316eea5448b96",
+                  "quasimode_manifest.json": "f5288a2dc344ff3f"},
     "quasimode-interval": {"quasimode_grid.csv": "0b7f36a29ef9238d",
                            "quasimode_manifest.json": "5630240893ebc9b8"},
-    "quasimode-oblique": {"quasimode_grid.csv": "ffe5c58f456a884d",
+    "quasimode-oblique": {"quasimode_grid.csv": "0c3ce43c1bfe2d65",
                           "quasimode_manifest.json": "88cfca8ff92fe6f7"},
-    "quasimode-characteristic": {"quasimode_grid.csv": "e2d786a1784d945d",
+    "quasimode-characteristic": {"quasimode_grid.csv": "af83c85d9f179868",
                                  "quasimode_manifest.json": "b924f46496487bb6"},
-    "quasimode-lshape": {"quasimode_grid.csv": "0047a2c0640f94d1",
+    "quasimode-lshape": {"quasimode_grid.csv": "b92045edddebcad2",
                          "quasimode_manifest.json": "8f00d372ab9a8b02"},
     "pseudospectrum": {"heatmap_h0.05.svg": "729c0fd13e572770",
                        "heatmap_h0.1.svg": "9a79ae4d67518773",
@@ -633,13 +633,33 @@ class TestRunner:
         assert rep["subsolution"]["ok"]
 
 
-def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """code run by a new interpreter that imports this pslab."""
+def fresh_python(code: str, *args: str, env: dict | None = None
+                 ) -> subprocess.CompletedProcess:
+    """code run by a new interpreter that imports this pslab, with ``env``
+    added to this process's environment."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *args],
-                          env=os.environ | {"PYTHONPATH": path},
+                          env=os.environ | {"PYTHONPATH": path} | (env or {}),
                           capture_output=True, text=True, timeout=300)
+
+
+def assert_frozen_in_child(tmp_path, rows, prelude="", env=None):
+    """Run the FROZEN ``rows`` in a new interpreter that first executes
+    ``prelude``; every artifact must match FROZEN_DIGESTS."""
+    paths = [str(write_config(tmp_path, {"experiment": row} | FROZEN[row]
+                              | {"output_dir": str(tmp_path / row)},
+                              f"{row}.json")) for row in rows]
+    r = fresh_python("import sys\n" + prelude
+                     + "from pslab.cli import run\n"
+                     "sys.exit(max([run(p) for p in sys.argv[1:]]))",
+                     *paths, env=env)
+    assert r.returncode == 0, r.stderr
+    for row in rows:
+        files = json.loads((tmp_path / row / "manifest.json")
+                           .read_text())["files"]
+        assert {name: h[:16] for name, h in files.items()} \
+            == FROZEN_DIGESTS[row]
 
 
 class TestColdStart:
@@ -654,22 +674,18 @@ class TestColdStart:
         assert r.stdout.split() == []
 
     def test_numpy_only_experiments_run_without_scipy(self, tmp_path):
-        rows = ("classify", "quasimode", "quasimode-characteristic",
-                "exit-time", "exit-time-ellipse")
-        paths = [str(write_config(tmp_path, {"experiment": row} | FROZEN[row]
-                                  | {"output_dir": str(tmp_path / row)},
-                                  f"{row}.json")) for row in rows]
-        r = fresh_python("import sys\n"
-                         "sys.modules['scipy'] = None   # any scipy import fails\n"
-                         "from pslab.cli import run\n"
-                         "sys.exit(max([run(p) for p in sys.argv[1:]]))",
-                         *paths)
-        assert r.returncode == 0, r.stderr
-        for row in rows:
-            files = json.loads((tmp_path / row / "manifest.json")
-                               .read_text())["files"]
-            assert {name: h[:16] for name, h in files.items()} \
-                == FROZEN_DIGESTS[row]
+        assert_frozen_in_child(
+            tmp_path, ("classify", "quasimode", "quasimode-characteristic",
+                       "exit-time", "exit-time-ellipse"),
+            prelude="sys.modules['scipy'] = None   # any scipy import fails\n")
+
+
+def test_quasimode_digests_with_one_blas_thread(tmp_path):
+    """The quasimode jets are evaluated by BLAS matmuls; capped at one
+    OpenBLAS thread they write the same bytes as the suite's default."""
+    assert_frozen_in_child(
+        tmp_path, sorted(row for row in FROZEN if row.startswith("quasimode")),
+        env={"OPENBLAS_NUM_THREADS": "1"})
 
 
 def reference_csv(header, rows) -> bytes:

@@ -1,5 +1,6 @@
 """Property tests of ``jets.Jet``: truncated multiplication is associative,
-and ``diff`` agrees with a central difference of ``eval``.
+``diff`` agrees with a central difference of ``eval``, and ``eval_jets``
+agrees with Horner's rule in ``numpy.polynomial``.
 
 Both compare floating-point results against a bound derived from the
 coefficient magnitudes, so the tolerances hold for every drawn jet rather
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.polynomial import polynomial as npoly
 
-from pslab.jets import Jet
+from pslab.jets import _BLOCK, Jet, eval_jets
 
 ORDER = 5
 EPS = np.finfo(float).eps
@@ -94,3 +96,49 @@ def test_diff_matches_central_difference(dim, axis, data):
     S = np.abs(jet.coeffs).sum()
     tol = S * (K ** 3 * d ** 2 / 6 + 4 * K * EPS / d + 4 * K ** 2 * EPS)
     assert np.all(np.abs(jet.diff(axis).eval(*pts.T) - fd) <= tol)
+
+
+def _horner(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    if coeffs.ndim == 1:
+        return npoly.polyval(pts[:, 0], coeffs)
+    return npoly.polyval2d(pts[:, 0], pts[:, 1], coeffs)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_eval_jets_matches_horner(dim, data):
+    """Each row of eval_jets equals Horner's rule (polyval / polyval2d) on
+    that jet to (M + 5 D) eps S, at 0, 1, B - 1, B and B + 1 points for
+    the block size B; D is the largest order of the stacked jets (2 to 12),
+    M the number of monomials of degree <= D, and S = sum |c| |x|^k, the
+    jet's Horner value on |coefficients| at |coordinates|.
+
+    - eval_jets: x^k is k - 1 products (cumprod), and x^i y^j one more, so
+      each basis value is within D u of exact, relatively (u = eps / 2).
+      A value's real and imaginary parts are each an M-term dot product of
+      real coefficients with the basis, within M u of exact in any
+      summation order, against the same sums of magnitudes: in all
+      sqrt(2) (M + D) u S.
+    - Horner: in d = 1, K steps each of a complex-by-real product and a
+      complex sum put each part within 2 K u of exact; polyval2d nests two
+      such passes, 4 K u.  With K <= D, sqrt(2) 4 D u S for both parts.
+    The two sides together are within sqrt(2) (M + 5 D) u S, and the
+    assertion's (M + 5 D) eps S leaves a factor sqrt(2) to spare.
+    """
+    orders = data.draw(st.lists(st.integers(2, 12), min_size=1, max_size=3))
+    jets = [data.draw(hnp.arrays(np.float64, (2,) + (k + 1,) * dim,
+                                 elements=_parts).map(
+        lambda a, k=k: Jet(a[0] + 1j * a[1], k, dim))) for k in orders]
+    n = data.draw(st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1]))
+    scale = data.draw(st.floats(0.1, 1.5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    pts = rng.uniform(-scale, scale, (n, dim))
+    vals = eval_jets(jets, pts)
+    assert vals.shape == (len(jets), n)
+    top = max(orders)
+    M = top + 1 if dim == 1 else (top + 1) * (top + 2) // 2
+    for jet, row in zip(jets, vals):
+        S = _horner(np.abs(jet.coeffs), np.abs(pts))
+        assert np.all(np.abs(row - _horner(jet.coeffs, pts))
+                      <= (M + 5 * top) * EPS * S)
