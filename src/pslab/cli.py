@@ -440,6 +440,9 @@ def run_spectrum(domain, X, params, art: Artifacts):
     from .spectral import eigenvalues
     h, k = params["h"], params["k"]
     op = grid_operator(domain, h, X, _spacing(domain, params))
+    # here, not in validate: in the plane n is the lattice's, known only
+    # once the lattice is built
+    _need(k <= op.n // 4, "params.k", f"need k <= n // 4 = {op.n // 4}")
     res = eigenvalues(op, k, sigma_shift=params["shift"])
     try:
         oracle = conjugated_spectrum_oracle(domain, h, X, k)
@@ -602,10 +605,7 @@ def _check_pseudomode(domain, X, p):
 
 
 def _check_spectrum(domain, X, p):
-    _check_grid(domain, p)
-    if domain.dimension == 1:
-        _need(p["k"] <= p["n"] // 4, "params.k",
-              f"need k <= n // 4 = {p['n'] // 4}")
+    _check_grid(domain, p)       # run_spectrum checks k against P's n
 
 
 def _check_exit_time(domain, X, p):
@@ -751,6 +751,9 @@ def run(config_path: str, out_dir: str | None = None,
     art = Artifacts(out, raw)
     try:
         REGISTRY[named].run(domain, X, params, art)
+    except ConfigError as e:       # a key only the built operator can check
+        print(f"validation failed: {e}", file=sys.stderr)
+        return 2
     except PslabError as e:
         print(f"compute failed: {e}", file=sys.stderr)
         return 1

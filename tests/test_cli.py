@@ -394,6 +394,13 @@ class TestRunner:
         ("blowup", "params", {"bump": {"center": [0.15], "a": 0.05,
                                        "delta": 0.36, "cap_constant": 1.0}},
          "params.bump.cap_constant"),
+        # k above a quarter of the disk lattice's 208 points, which only the
+        # built operator knows
+        ("spectrum", None, {"domain": {"type": "disk", "center": [0, 0],
+                                       "radius": 1.0},
+                            "field": {"X": [1.0, 0.0]},
+                            "params": {"h": 0.5, "dx": 0.125, "k": 60}},
+         "params.k"),
     ], ids=["domain-string", "interval-a-string", "field-X-string", "z-scalar",
             "z-three-entries", "h_list-scalar", "h_list-names-collide",
             "dx_rule-string",
@@ -416,7 +423,7 @@ class TestRunner:
             "interval-scan-h-too-coarse", "x0-off-boundary", "x0-in-shadow",
             "z-excluded-value", "interval-real-z-above-quarter",
             "x0-at-lshape-vertex", "bump-leaves-domain", "bump-above-cap",
-            "bump-cap-below-default-peak"])
+            "bump-cap-below-default-peak", "disk-spectrum-k-over-quarter-n"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, experiment,
                                       section, patch, key):
         interval = {"type": "interval", "a": 0.0, "b": 1.0}
@@ -510,12 +517,14 @@ class TestRunner:
             == FROZEN_DIGESTS[row]
 
     def test_compute_failure_writes_nothing(self, tmp_path, capsys):
-        # validate() cannot see the disk grid's dimension; assembly can
+        # every path needs about 0.6 to drift out, so all of them reach
+        # t_max and the MGF estimate refuses the truncated tail
         cfg = write_config(tmp_path, {
-            "experiment": "spectrum",
-            "domain": {"type": "disk", "center": [0, 0], "radius": 1.0},
-            "field": {"X": [1.0, 0.0]},
-            "params": {"h": 0.1, "dx": 0.12, "k": 80},
+            "experiment": "exit-time",
+            "domain": {"type": "interval", "a": 0.0, "b": 1.0},
+            "field": {"X": [-0.8]},
+            "params": {"h": 0.05, "dt": 6.25e-4, "seed": 5, "n_paths": 20,
+                       "x0": [0.5], "lambda": 0.1, "t_max": 0.05},
             "output_dir": str(tmp_path / "out"),
         })
         assert run(str(cfg)) == 1
