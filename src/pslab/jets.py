@@ -131,8 +131,7 @@ class Jet:
     def eval(self, *points) -> np.ndarray:
         """Evaluate at real points; each argument is an array of one
         coordinate, and the result has their shape."""
-        coords = np.broadcast_arrays(*(np.asarray(p, dtype=float)
-                                       for p in points))
+        coords = [np.asarray(p, dtype=float) for p in points]
         pts = np.stack([c.ravel() for c in coords], axis=-1)
         return eval_jets([self], pts)[0].reshape(coords[0].shape)[()]
 
