@@ -527,8 +527,8 @@ def run_blowup(domain, X, params, art: Artifacts):
     snapshots = np.round(np.arange(0.05, bp["delta"], 0.05), 10)
     res = evolve(op, mu, p, 1.02 * rep.values, params["dt"], params["t_end"],
                  snapshot_times=snapshots)
-    lam = eigenvalues(op, 5, sigma_shift=mu + 0.05).values
-    spectral_bound = float(np.max(-(lam.real - mu)))
+    eig = eigenvalues(op, 5, sigma_shift=mu + 0.05)
+    spectral_bound = float(np.max(-(eig.values.real - mu)))
     times = sorted(res.snapshots)
     art.write_csv("trajectory.csv", {
         "t": np.repeat(times, op.n), "x": np.tile(op.points[:, 0], len(times)),
@@ -541,6 +541,9 @@ def run_blowup(domain, X, params, art: Artifacts):
             k: v for k, v in bp.items() if v is not None}},
         "bump_peak": rep.peak, "bump_cap": rep.cap,
     }
+    if not eig.converged:
+        # said only when false: a trusted report keeps its bytes
+        report["spectral_bound_converged"] = False
     if params["alpha"] is not None:
         comp = subsolution_check(res, spec, params["alpha"], X, op.points)
         report["subsolution"] = {

@@ -201,6 +201,7 @@ def evolve(op: GridOperator, mu: float, p: float, u0: np.ndarray, dt0: float,
     t = 0.0
     times = [0.0]
     sups = [float(np.max(np.abs(u)))]
+    hi = float(u.max())         # max u, which sets the next step's dt
     dt_min = dt0
     blew = False
     t_blow = None
@@ -208,11 +209,10 @@ def evolve(op: GridOperator, mu: float, p: float, u0: np.ndarray, dt0: float,
     for _ in range(max_iters):
         if t >= t_end or blew:
             break
-        sup = float(np.max(u)) if n else 0.0
         # explicit-term stability: dt |u|^{p-1} / h <= 0.2, dt halving only
         dt = dt0
-        if nonlinear and sup > 0:
-            cap = 0.2 * h / max(sup ** (p - 1.0), 1e-300)
+        if nonlinear and hi > 0:
+            cap = 0.2 * h / max(hi ** (p - 1.0), 1e-300)
             while dt > cap:
                 dt *= 0.5
         dt = min(dt, t_end - t)
@@ -224,10 +224,12 @@ def evolve(op: GridOperator, mu: float, p: float, u0: np.ndarray, dt0: float,
             lu_dt, lu = dt, None        # free the old factor first
             lu = factorize((I + (dt / h) * (A - mu * I)).tocsc())
         u = lu.solve(rhs)
-        sup = float(np.max(np.abs(u)))
-        if float(u.min()) < -_POSITIVITY_TOL * max(1.0, sup):
+        # sup |u| from the two extremes, NaN included
+        hi, lo = float(u.max()), float(u.min())
+        sup = max(hi, -lo)
+        if lo < -_POSITIVITY_TOL * max(1.0, sup):
             raise PslabError(
-                f"positivity lost at t = {t:.5f}: min u = {u.min():.3e}")
+                f"positivity lost at t = {t:.5f}: min u = {lo:.3e}")
         t = t_end if last else t + dt
         times.append(t)
         sups.append(sup)

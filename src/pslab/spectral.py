@@ -217,12 +217,36 @@ def fit_exponential_rate(h_values: Sequence[float], sigma: Sequence[float],
 @dataclass
 class EigenResult:
     values: np.ndarray
-    converged: bool
+    converged: bool             # ARPACK converged and every value is trusted
 
 
 def eigenvalues(op: GridOperator, k: int, sigma_shift: float = 0.0
                 ) -> EigenResult:
-    """k eigenvalues of smallest real part (shift-invert near sigma_shift)."""
+    """k eigenvalues of smallest real part (shift-invert near sigma_shift).
+
+    ``converged`` is False when ARPACK stops short, and also when a value
+    it returns cannot be an eigenvalue of P.  For constant X,
+    e^{-<X,x>/2h} P e^{<X,x>/2h} = -h^2 Laplace + |X|^2/4 is self-adjoint,
+    so every exact eigenvalue is real and at least |X|^2/4.  The rows whose
+    stencils have only dx arms keep this on the lattice: the per-axis
+    scaling of ``operators.symmetrizer_1d`` makes them symmetric, with the
+    diagonal shift sum_i (X_i^2/2) / (1 + s_i), s_i = sqrt(1 - t_i^2) and
+    t_i = X_i dx/2h.  That shift exceeds |X|^2/4 by
+
+        delta = sum_i (X_i^2/4) t_i^2 / (1 + s_i)^2  (about |X|^4 dx^2/64h^2),
+
+    the discretization's own departure from the continuum's shift.  The
+    Shortley-Weller rows are not symmetrized, so a discrete eigenvalue may
+    leave the real axis, but only at the discretization's error, which
+    delta measures.  A value with Re < |X|^2/4 or |Im| > delta is the
+    solver's: the eigenvalue condition numbers grow like e^{|X| diam/2h},
+    so at small h ARPACK's backward error swamps the discretization's.  On
+    the unit disk, X = (1, 0), h = 0.01 the values reach Re 0.2473 at dx =
+    0.02 and 0.2491 at dx = 0.01, below the exact 0.250578; on [0, 1] at
+    h = 0.005, n = 4,000, whose P is similar to a symmetric matrix, they
+    carry |Im| 6.8e-4 against delta = 3.9e-5.  Real Ritz values come back
+    with Im exactly 0.
+    """
     if k > op.n // 4:
         raise ResolutionError(
             f"k = {k} exceeds a quarter of the dimension {op.n}: refine the grid")
@@ -238,11 +262,16 @@ def eigenvalues(op: GridOperator, k: int, sigma_shift: float = 0.0
     try:
         vals = spla.eigs(A, k=k, sigma=shift, v0=v0, OPinv=OPinv,
                          tol=LANCZOS_TOL, return_eigenvectors=False)
-        order = np.argsort(vals.real)
-        return EigenResult(vals[order], True)
     except spla.ArpackNoConvergence as e:
         got = np.sort_complex(e.eigenvalues)
         return EigenResult(got, False)
+    X = np.asarray(op.X, dtype=float)
+    t = X * op.dx / (2.0 * op.h)
+    delta = float(np.sum(X * X / 4.0 * (t / (1.0 + np.sqrt(
+        np.maximum(1.0 - t * t, 0.0)))) ** 2))
+    trusted = np.all(vals.real >= X @ X / 4.0) \
+        and np.all(np.abs(vals.imag) <= delta)
+    return EigenResult(vals[np.argsort(vals.real)], bool(trusted))
 
 
 # ===================================================================== #

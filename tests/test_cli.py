@@ -170,21 +170,21 @@ FROZEN_DIGESTS = {
                        "pseudospectrum_h0.05.csv": "c093844d044486ff",
                        "pseudospectrum_h0.1.csv": "548b6f88337f44e1",
                        "scan_summary.json": "fc79f213ef53b65a"},
-    "spectrum": {"eigenvalues.csv": "21b70d192a1aa29b",
+    "spectrum": {"eigenvalues.csv": "c2f6e4bda9843ab3",
                  "spectrum_summary.json": "60cf0fb9a1c0065c"},
     "pseudomode": {"arc_profile.csv": "b3620096e1194aff",
                    "pseudomode.csv": "e1292ffe89dd30a3",
                    "pseudomode_summary.json": "8732b209af227790",
                    "radial_profile.csv": "322e3d2a5df3cbd5"},
-    "pseudomode-disk": {"arc_profile.csv": "e07a689f6cbb9d53",
-                        "pseudomode.csv": "00986f6619dca63e",
-                        "pseudomode_summary.json": "6c8a7b7551a6fcff",
-                        "radial_profile.csv": "0d69012a4c656131"},
-    "pseudomode-lshape": {"arc_profile.csv": "a13d772b1d3187b5",
-                          "pseudomode.csv": "4389c04d8ca65cf9",
-                          "pseudomode_summary.json": "c4660eab3ac08da2",
-                          "radial_profile.csv": "e9ca1c8bfc9b2ce7"},
-    "spectrum-ellipse": {"eigenvalues.csv": "78d0d97b4c593583",
+    "pseudomode-disk": {"arc_profile.csv": "78ebba1a1e94d976",
+                        "pseudomode.csv": "caebe099dd9e42ee",
+                        "pseudomode_summary.json": "68410e5d9a147cbf",
+                        "radial_profile.csv": "dae575755417ab76"},
+    "pseudomode-lshape": {"arc_profile.csv": "51acd97be6a682d3",
+                          "pseudomode.csv": "d2feef60d59fd5cd",
+                          "pseudomode_summary.json": "a8f53fe5326fa8f5",
+                          "radial_profile.csv": "715d876ff2274142"},
+    "spectrum-ellipse": {"eigenvalues.csv": "d94c08c72d27f6bd",
                          "spectrum_summary.json": "60cf0fb9a1c0065c"},
     "exit-time": {"estimate.json": "ffef0f927208d275",
                   "samples.csv": "e1a516c7b8874ef1",
@@ -579,6 +579,37 @@ class TestRunner:
         assert rows[0] == "re,im,oracle"
         first = rows[1].split(",")
         assert abs(float(first[0]) - 0.2746740110027234) < 1e-3
+
+    def test_untrusted_spectrum_says_so(self, tmp_path):
+        # eigenvalues below |X|^2/4 on the unit disk at h = 0.01
+        cfg = write_config(tmp_path, {
+            "experiment": "spectrum",
+            "domain": {"type": "disk", "center": [0.0, 0.0], "radius": 1.0},
+            "field": {"X": [1.0, 0.0]},
+            "params": {"h": 0.01, "k": 5, "dx": 0.02, "shift": 0.25},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert run(str(cfg)) == 0
+        summary = json.loads(
+            (tmp_path / "out" / "spectrum_summary.json").read_text())
+        assert summary["converged"] is False
+
+    def test_untrusted_spectral_bound_says_so(self, tmp_path):
+        # a complex pair from ARPACK where P's spectrum is real (h = 0.005,
+        # n = 4,000); a trusted report has no such key (FROZEN "blowup")
+        cfg = write_config(tmp_path, {
+            "experiment": "blowup",
+            "domain": {"type": "interval", "a": 0.0, "b": 1.0},
+            "field": {"X": [1.0]},
+            "params": {"h": 0.005, "mu": 0.2, "p": 2, "n": 4000,
+                       "dt": 1e-4, "t_end": 0.01,
+                       "bump": {"center": [0.15], "a": 0.05,
+                                "delta": 0.36}},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert run(str(cfg)) == 0
+        rep = json.loads((tmp_path / "out" / "blowup_report.json").read_text())
+        assert rep["spectral_bound_converged"] is False
 
     def test_pseudospectrum_small_scan(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -248,6 +248,35 @@ class TestEigenvalues:
             with pytest.raises(TypeError):
                 eigenvalues(op, 5, sigma_shift=shift)
 
+    @pytest.mark.parametrize("dx", [0.02, 0.01])
+    def test_values_below_the_shift_are_untrusted(self, dx):
+        # ARPACK converges on the unit disk at h = 0.01, yet returns values
+        # below |X|^2/4 = 0.25, under every exact eigenvalue (the first is
+        # 0.250578): the instability the pseudospectrum measures, acting on
+        # the solver
+        op = assemble_2d(Disk((0, 0), 1.0), 0.01, [1.0, 0.0], dx)
+        res = eigenvalues(op, 5, sigma_shift=0.25)
+        assert len(res.values) == 5
+        assert not res.converged
+
+    def test_complex_values_of_a_symmetrizable_p_are_untrusted(self):
+        # P on the interval is similar to a symmetric matrix, so its
+        # spectrum is real; at h = 0.005 ARPACK returns a complex pair
+        # whose |Im| exceeds the discrete shift's excess over |X|^2/4
+        op = assemble_1d(INTERVAL, 0.005, 1.0, 4000)
+        res = eigenvalues(op, 5, sigma_shift=0.25)
+        assert np.all(res.values.real >= 0.25)
+        assert np.max(np.abs(res.values.imag)) > 1e-5
+        assert not res.converged
+
+    @pytest.mark.parametrize("op", [
+        assemble_1d(INTERVAL, 0.05, 1.0, 2000),
+        assemble_1d(INTERVAL, 0.05, 0.0, 500),
+        assemble_2d(Disk((0, 0), 1.0), 0.1, [1.0, 0.0], 0.1 / 8),
+    ], ids=["interval", "zero-field", "disk"])
+    def test_resolved_spectra_are_trusted(self, op):
+        assert eigenvalues(op, 5, sigma_shift=0.25).converged
+
     def test_repeat_calls_identical(self):
         # ARPACK starts from a fixed vector; from a random one the fifth
         # eigenvalue of this operator moves by about 1e-4 between calls
