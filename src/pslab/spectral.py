@@ -10,7 +10,9 @@ and a 6-vector Lanczos basis converges in about half the solves of the
 12-vector basis used elsewhere.  P is real, so sigma_min(P - conj z) =
 sigma_min(P - z), and a scan rectangle symmetric about the real axis solves
 only its rows with Im z <= 0.  Eigenvalues are shift-invert ARPACK in
-real arithmetic on one LU of P - shift, to the same 1e-10 Ritz tolerance.
+real arithmetic on one LU of P - shift, to the same 1e-10 Ritz tolerance;
+a value P cannot have (below |X|^2/4, or off the real axis) marks the
+result unconverged.
 P comes from ``operators.grid_operator``, on the lattice nodes where
 ``domain.contains`` holds, and both LUs from ``operators.factorize``.
 
