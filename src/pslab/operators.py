@@ -243,10 +243,15 @@ def conjugated_spectrum_oracle(domain, h: float, X, k_max: int) -> np.ndarray:
         ks = np.arange(1, k_max + 1)
         return Xn2 / 4.0 + h * h * (np.pi * ks / domain.diameter()) ** 2
     if isinstance(domain, Disk):
-        from scipy.special import jn_zeros
-        # j_{m,k}, twice for m > 0 (the cos/sin degeneracy)
-        zeros = np.concatenate([np.tile(jn_zeros(m, k_max), 1 + (m > 0))
-                                for m in range(k_max + 6)])
+        if k_max == 1:
+            # j_{0,1} as scipy's jn_zeros(0, 1) gives it: the exit-time
+            # lambda check then runs without scipy
+            zeros = np.array([2.4048255576957724])
+        else:
+            from scipy.special import jn_zeros
+            # j_{m,k}, twice for m > 0 (the cos/sin degeneracy)
+            zeros = np.concatenate([np.tile(jn_zeros(m, k_max), 1 + (m > 0))
+                                    for m in range(k_max + 6)])
         return Xn2 / 4.0 + h * h * np.sort((zeros / domain.radius) ** 2)[:k_max]
     raise OracleUnavailableError(
         f"no closed-form spectrum for {type(domain).__name__}")

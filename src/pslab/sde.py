@@ -12,13 +12,23 @@ draws into ``out=`` with the GIL released); every path still owns its
 generator and its buffer row, so results are independent of the worker
 count too.
 
+Every ensemble draws in chunks of the same size, set by the draw count of
+its longest level and the dimension: the power of two at or above an
+eighth of the draws, at least 256 steps and at most 1,024 normals per path
+(512 steps in the plane).  A path's normals are one sequence from its own
+stream however they are cut into chunks, so the chunk size moves no bit.
+
 One kernel steps every ensemble: a sub-block of steps is advanced for all
 alive paths with one signed-distance call and its first crossings found at
 once, bit-identical to stepping one at a time because each step still
-rounds as (x + b dt) + amp xi.  A callable drift is evaluated at every step,
-past a path's exit too, where its values are discarded.  The coupled
-(dt, dt/2) pair is two levels over one draw stream: the fine level steps
-with each normal, the coarse level with the normalized sum of each pair.
+rounds as (x + b dt) + amp xi.  A constant drift's sub-block that is longer
+than it is wide (few paths alive) is one running sum over the interleaved
+sequence x, b dt, amp xi_0, b dt, amp xi_1, ...: np.add.accumulate adds
+strictly in order, so it makes the same two roundings per step as the
+per-step loop.  A callable drift is evaluated at every step, past a path's
+exit too, where its values are discarded.  The coupled (dt, dt/2) pair is
+two levels over one draw stream: the fine level steps with each normal, the
+coarse level with the normalized sum of each pair.
 
 The moment generating function E exp(lambda tau_X / h) is estimated by the
 sample mean with jackknife standard errors; truncated paths contribute the
@@ -40,7 +50,8 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import GeometryError, SupercriticalError, UnreliableTailError
 
-_CHUNK = 256          # normals pre-drawn per path (the pair; the ensemble's floor)
+_CHUNK = 256          # fewest steps drawn per path per chunk
+_DRAWS = 1024         # most normals drawn per path per chunk
 _BATCH = 16384        # paths simulated together
 _BLOCK = 65536        # path-step coordinates per sub-block; bounds scratch
 _WILSON_Z = 1.959963984540054   # two-sided 95% normal quantile
@@ -159,14 +170,27 @@ class _Level:
             if self.stride == 2:
                 xi = (xi[0::2] + xi[1::2]) / math.sqrt(2.0)
             # path[j] is the position after j steps; each step rounds as
-            # amp xi + (x + b dt), the order of one Euler step at a time
-            path = np.empty((L + 1, d, n))
-            path[0] = self.pos
-            np.multiply(xi, self.amp, out=path[1:])
-            for j in range(L):
-                c = self.c if self.c is not None else np.asarray(
-                    self.b(path[j].T), dtype=float).reshape(n, d).T * self.dt
-                path[j + 1] += path[j] + c
+            # (x + b dt) + amp xi, the order of one Euler step at a time
+            if self.c is not None and L > n:
+                # few paths alive: one running sum over x, b dt, amp xi_0,
+                # b dt, amp xi_1, ... makes the same two roundings per step.
+                # On the 2-core reference box the loop below costs about
+                # 1.7 us per step plus 1 ns per path-step, this sum 7-10 ns
+                # per path-step: a full sub-block costs the same both ways
+                # near 220 paths, where it is about as long as it is wide
+                seq = np.empty((2 * L + 1, d, n))
+                seq[0] = self.pos
+                seq[1::2] = self.c
+                np.multiply(xi, self.amp, out=seq[2::2])
+                path = np.add.accumulate(seq, axis=0, out=seq)[0::2]
+            else:
+                path = np.empty((L + 1, d, n))
+                path[0] = self.pos
+                np.multiply(xi, self.amp, out=path[1:])
+                for j in range(L):
+                    c = self.c if self.c is not None else np.asarray(
+                        self.b(path[j].T), dtype=float).reshape(n, d).T * self.dt
+                    path[j + 1] += path[j] + c
             new = path[1:].transpose(0, 2, 1).reshape(L * n, d)
             sd = self.domain.signed_distance(new).reshape(L, n)
             k0, self.k = self.k, self.k + L
@@ -197,8 +221,7 @@ class _Level:
 
 
 def _simulate(domain, b, h: float, x0, seed: int, n_paths: int, t_max: float,
-              levels: Sequence[tuple[float, int, int]], chunk: int
-              ) -> list[ExitEnsemble]:
+              levels: Sequence[tuple[float, int, int]]) -> list[ExitEnsemble]:
     """One ensemble per level (dt, stride, n_steps), all on the same draws."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = x0.shape[0]
@@ -214,6 +237,12 @@ def _simulate(domain, b, h: float, x0, seed: int, n_paths: int, t_max: float,
             ens.tau[:] = 0.0
         return out
     n_draws = max(stride * n for _, stride, n in levels)
+    # larger draw blocks only amortize generator calls: the per-path normal
+    # sequence is the same for any blocking.  A chunk is the power of two at
+    # or above n_draws / 8 steps, at least _CHUNK steps and at most _DRAWS
+    # normals per path (512 steps in the plane)
+    chunk = 1 << max(n_draws // 8 - 1, 0).bit_length()
+    chunk = max(_CHUNK, min(chunk, _DRAWS // d))
     # one thread per CPU draws a contiguous share of the rows.  The caller
     # draws the first share, which stays in its cache for advance, so the
     # pool needs workers - 1 threads (on one CPU it starts none)
@@ -258,15 +287,13 @@ def simulate_exit_ensemble(domain, b, h: float, x0, dt: float, seed: int,
     steps past a path's exit in a sub-block of L steps; it must not raise
     there, and its values there are discarded.  A start on the boundary
     exits at tau = 0; a start outside the domain raises GeometryError.
-    Paths run _BATCH at a time.
+    Paths run _BATCH at a time, their normals drawn in chunks of up to
+    1,024 per path; a constant drift steps by one running sum once fewer
+    paths are alive than a sub-block has steps.  Neither changes a bit.
     """
     max_steps = int(math.ceil(t_max / dt))
-    # larger draw blocks only amortize generator calls: the per-path normal
-    # sequence is the same for any blocking
-    chunk = int(np.clip(2 ** int(np.ceil(np.log2(max(max_steps // 8, 1)))),
-                        _CHUNK, 1024))
     return _simulate(domain, b, h, x0, seed, n_paths, t_max,
-                     [(dt, 1, max_steps)], chunk)[0]
+                     [(dt, 1, max_steps)])[0]
 
 
 def simulate_exit_refinement_pair(domain, b, h: float, x0, dt: float,
@@ -280,8 +307,7 @@ def simulate_exit_refinement_pair(domain, b, h: float, x0, dt: float,
     """
     max_fine = int(math.ceil(t_max / (0.5 * dt)))
     coarse, fine = _simulate(domain, b, h, x0, seed, n_paths, t_max,
-                             [(dt, 2, max_fine // 2), (0.5 * dt, 1, max_fine)],
-                             _CHUNK)
+                             [(dt, 2, max_fine // 2), (0.5 * dt, 1, max_fine)])
     return coarse, fine
 
 

@@ -287,6 +287,15 @@ class TestOracle:
         got = conjugated_spectrum_oracle(Disk((0, 0), 1.0), 0.1, 1.0, 1)
         assert got[0] == pytest.approx(0.30783185962946785, abs=1e-12)
 
+    def test_disk_principal_matches_bessel_table(self):
+        # k = 1 takes j_{0,1} without scipy; it must be the table's first
+        # value to the bit
+        for radius, h, X in ((1.0, 0.1, [0.5, 0.0]), (0.7, 0.013, [1.0, 0.3])):
+            disk = Disk((0, 0), radius)
+            one = conjugated_spectrum_oracle(disk, h, X, 1)
+            four = conjugated_spectrum_oracle(disk, h, X, 4)
+            assert one.tobytes() == four[:1].tobytes()
+
     def test_disk_degeneracy(self):
         got = conjugated_spectrum_oracle(Disk((0, 0), 1.0), 0.1, 0.0, 4)
         # j_{0,1}^2, then the double j_{1,1}^2 pair

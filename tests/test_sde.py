@@ -92,6 +92,25 @@ class TestSimulation:
         assert np.array_equal(capped.tau, whole.tau)
         assert np.array_equal(capped.exit_points, whole.exit_points)
 
+    def test_pair_and_ensemble_share_the_chunk_rule(self, monkeypatch):
+        # one rule for every ensemble: at most 1,024 normals per path per
+        # chunk, so a planar chunk is 512 steps
+        import pslab.sde as sde
+        shapes = []
+        advance = sde._Level.advance
+
+        def spy(level, buf, base):
+            shapes.append(buf.shape[1:])
+            return advance(level, buf, base)
+
+        monkeypatch.setattr(sde._Level, "advance", spy)
+        simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 9, 4, 20.0)
+        simulate_exit_refinement_pair(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 9, 4,
+                                      20.0)
+        simulate_exit_ensemble(Disk((0, 0), 1.0), [0.5, 0.0], 0.1,
+                               [0.0, 0.0], 1e-3, 9, 4, 10.0)
+        assert sorted(set(shapes)) == [(512, 2), (1024, 1)]
+
     def test_draw_error_reaches_caller(self, monkeypatch):
         # a generator that fails mid-ensemble fails the call: no partly
         # drawn paths come back.  On 3 CPUs the last row is in a pool
@@ -274,21 +293,29 @@ class TestBitIdentity:
             sys.setswitchinterval(interval)
         assert [len(t) for t in threads] == [cpus] * 4
 
-    def test_constant_drift_blocks_match_callable_steps(self):
+    @pytest.mark.parametrize("n_paths, t_max", [(64, 20.0), (1000, 2.0)])
+    def test_constant_drift_blocks_match_callable_steps(self, n_paths, t_max):
         # a constant drift's step is computed once per sub-block, a callable
-        # one is evaluated at every step of it; both round each step alike
+        # one is evaluated at every step of it; both round each step alike.
+        # 64 paths take the running sum from the start; 1,000 paths start in
+        # the per-step loop (sub-blocks of 65 steps) and switch to the
+        # running sum once fewer than 256 are alive
         const = simulate_exit_ensemble(INTERVAL, 0.8, 0.05, [0.3], 5e-4, 42,
-                                       64, 20.0)
+                                       n_paths, t_max)
         steps = simulate_exit_ensemble(INTERVAL, lambda x: np.full(len(x), 0.8),
-                                       0.05, [0.3], 5e-4, 42, 64, 20.0)
+                                       0.05, [0.3], 5e-4, 42, n_paths, t_max)
         assert _digests(const) == _digests(steps)
 
-    def test_pair_fine_level_is_half_step_ensemble(self):
-        h, dt = 0.05, 0.05 ** 2 / 16.0
-        _, fine = simulate_exit_refinement_pair(INTERVAL, 0.8, h, [h], dt, 5,
-                                                100, 2.0)
-        ens = simulate_exit_ensemble(INTERVAL, 0.8, h, [h], dt / 2, 5, 100,
-                                     2.0)
+    @pytest.mark.parametrize("domain, b, h, x0, dt, t_max", [
+        (INTERVAL, 0.8, 0.05, [0.05], 0.05 ** 2 / 16.0, 2.0),
+        # the plane's 512-step draw chunk, on both sides
+        (Disk((0, 0), 1.0), [0.5, 0.0], 0.1, [0.0, 0.0], 1e-3, 3.0),
+    ], ids=["interval", "disk"])
+    def test_pair_fine_level_is_half_step_ensemble(self, domain, b, h, x0, dt,
+                                                   t_max):
+        _, fine = simulate_exit_refinement_pair(domain, b, h, x0, dt, 5, 100,
+                                                t_max)
+        ens = simulate_exit_ensemble(domain, b, h, x0, dt / 2, 5, 100, t_max)
         assert _digests(fine) == _digests(ens)
 
 
