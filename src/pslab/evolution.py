@@ -205,10 +205,7 @@ def evolve(op: GridOperator, mu: float, p: float, u0: np.ndarray, dt0: float,
     dt_min = dt0
     blew = False
     t_blow = None
-    max_iters = 10_000_000
-    for _ in range(max_iters):
-        if t >= t_end or blew:
-            break
+    while t < t_end and not blew:
         # explicit-term stability: dt |u|^{p-1} / h <= 0.2, dt halving only
         dt = dt0
         if nonlinear and hi > 0:

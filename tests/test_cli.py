@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from pslab import cli
 from pslab.cli import Artifacts, emit_svg_heatmap, main, run
 from pslab.errors import ConfigError
+from pslab.geometry import Interval
+from pslab.operators import conjugated_spectrum_oracle
 
 
 def swapped_circle(n):
@@ -191,7 +193,7 @@ FROZEN_DIGESTS = {
                   "survival.csv": "8b35c0a3079a0a0d"},
     "exit-time-ellipse": {"estimate.json": "d343e8a1d63f03c3",
                           "samples.csv": "803962a3a0c7cde6"},
-    "blowup": {"blowup_report.json": "0c44b3e4421c09ad",
+    "blowup": {"blowup_report.json": "8d2763242c91a903",
                "trajectory.csv": "6f0e6ec513ce9dea"},
 }
 
@@ -594,13 +596,12 @@ class TestRunner:
             (tmp_path / "out" / "spectrum_summary.json").read_text())
         assert summary["converged"] is False
 
-    def test_untrusted_spectral_bound_says_so(self, tmp_path):
-        # a complex pair from ARPACK where P's spectrum is real (h = 0.005,
-        # n = 4,000); a trusted report has no such key (FROZEN "blowup")
+    def test_spectral_bound_is_the_conjugated_bound(self, tmp_path):
+        # at h = 0.005, n = 4,000 shift-invert eigs returns a complex pair
+        # where P's spectrum is real; the bound is mu - lambda_1 of the
+        # conjugated form, in closed form, and no report flags it untrusted
         cfg = write_config(tmp_path, {
-            "experiment": "blowup",
-            "domain": {"type": "interval", "a": 0.0, "b": 1.0},
-            "field": {"X": [1.0]},
+            "experiment": "blowup", "domain": INTERVAL, "field": {"X": [1.0]},
             "params": {"h": 0.005, "mu": 0.2, "p": 2, "n": 4000,
                        "dt": 1e-4, "t_end": 0.01,
                        "bump": {"center": [0.15], "a": 0.05,
@@ -609,7 +610,9 @@ class TestRunner:
         })
         assert run(str(cfg)) == 0
         rep = json.loads((tmp_path / "out" / "blowup_report.json").read_text())
-        assert rep["spectral_bound_converged"] is False
+        assert rep["spectral_bound"] == 0.2 - conjugated_spectrum_oracle(
+            Interval(0.0, 1.0), 0.005, np.array([1.0]), 1)[0]
+        assert "spectral_bound_converged" not in rep
 
     def test_pseudospectrum_small_scan(self, tmp_path):
         cfg = write_config(tmp_path, {
