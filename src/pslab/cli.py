@@ -628,6 +628,10 @@ def _check_exit_time(domain, X, p):
 def _check_blowup(domain, X, p):
     _need(domain.dimension == 1, "domain", "blow-up runs on an interval")
     _check_grid(domain, p)
+    # only then is I + (dt/h)(P - mu) an M-matrix, which keeps u >= 0
+    peclet = float(np.linalg.norm(X)) * _spacing(domain, p) / (2.0 * p["h"])
+    _need(peclet < 1.0, "params.n",
+          f"grid Peclet |X| dx / 2h = {peclet:.3g} must be below 1")
     _need(p["alpha"] is None or 0 < p["alpha"] < p["mu"], "params.alpha",
           "the subsolution rate needs 0 < alpha < mu")
     spec = _bump(p["bump"])

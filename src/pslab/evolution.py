@@ -1,9 +1,16 @@
 """Semilinear evolution h u_t + (P - mu) u = u^p and its blow-up from tiny data.
 
-The linear part is treated implicitly (one sparse factorization per step-size
+The linear part is treated implicitly (one factorization per step-size
 level), the nonlinearity explicitly; the implicit matrix I + (dt/h)(P - mu)
-is an M-matrix on resolved grids, so nonnegative data stays nonnegative and
-the comparison structure of the continuous problem survives discretization.
+is an M-matrix on resolved grids (grid Peclet |X| dx / 2h < 1), so
+nonnegative data stays nonnegative and the comparison structure of the
+continuous problem survives discretization.  On an interval that matrix is
+a diagonal similarity D M_s D^{-1} of a symmetric positive definite
+tridiagonal M_s (``operators.symmetrizer_1d``: the lattice form of
+e^{-<X,x>/2h} P e^{<X,x>/2h} = -h^2 Laplace + |X|^2/4), so each level is
+one LAPACK L D L^T factor of M_s; planar P use the sparse LU of
+``operators.factorize``.
+
 The step size adapts to the explicit stability constraint
 dt ||u||_inf^{p-1} / h <= 0.2 by halving, and the reported blow-up time is
 the first crossing of the threshold.
@@ -27,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import GeometryError, PslabError
-from .operators import GridOperator, factorize
+from .operators import GridOperator, factorize, symmetrizer_1d
 
 BLOWUP_THRESHOLD = 1e6      # sup |u| that counts as blow-up
 _POSITIVITY_TOL = 1e-12     # relative undershoot below 0 that counts as lost
@@ -171,20 +178,58 @@ class EvolutionResult:
     p: float
 
 
+def _symmetric_frame(op: GridOperator):
+    """(D, diagonal, off-diagonal) of the tridiagonal S = D^{-1} P D, or None
+    where ``evolve`` takes the sparse LU.
+
+    D = kappa^i spans about e^{|X| L / 2h} and cannot carry the solve past
+    the double range.  Within it, D is divided by the power of two of its
+    middle entry: no bit of u = D y moves, but D stays within about
+    2^{+-513}, so y = u / D is a normal double for every |u| from about
+    1e-150 to 1e150, where tiny data near the far end would otherwise
+    flush to subnormals and lose its digits.
+    """
+    if op.dimension != 1:
+        return None
+    diag = op.matrix.diagonal()
+    if op.n == 1:
+        # LAPACK's wrapper wants an off-diagonal of length >= 1
+        return np.ones(1), diag, np.zeros(1)
+    prod = op.matrix.diagonal(1) * op.matrix.diagonal(-1)
+    if not np.all(prod > 0):
+        return None
+    with np.errstate(over="ignore"):
+        D = symmetrizer_1d(op)
+    if not np.finfo(float).tiny <= D[-1] <= np.finfo(float).max:
+        return None
+    return np.ldexp(D, -np.frexp(D[op.n // 2])[1]), diag, -np.sqrt(prod)
+
+
 def evolve(op: GridOperator, mu: float, p: float, u0: np.ndarray, dt0: float,
            t_end: float, nonlinear: bool = True,
            snapshot_times: Optional[Sequence[float]] = None) -> EvolutionResult:
     """IMEX integration of h u_t + (P - mu) u = u^p until t_end or blow-up
     (sup |u| >= BLOWUP_THRESHOLD).
 
+    Each step solves (I + (dt/h)(P - mu)) u = rhs.  On an interval with
+    grid Peclet |X| dx / 2h < 1 (and on a one-node P) the solve runs in the
+    symmetric frame: with D from ``symmetrizer_1d``, S = D^{-1} P D is
+    tridiagonal with P's diagonal and off-diagonal -sqrt(P_{i,i+1}
+    P_{i+1,i}), so u = D y where y solves I + (dt/h)(S - mu) from one
+    LAPACK L D L^T factor (``dpttrf``/``dpttrs``).  That factor fails with
+    a non-positive pivot once dt >= h / (mu - lambda_1) for a supercritical
+    mu, and D leaves the double range once |X| L / 2h passes about 700;
+    then, and on a planar P, the step takes the sparse LU of ``factorize``.
+
     The final step is clamped onto t_end: a step after which at most
     1e-9 dt0 would remain ends the run at t_end, and a final step within
     1e-9 (relative) of the current dt takes that dt.  So no sliver step is
     taken, no near-duplicate dt is factorized, and times[-1] == t_end.
-    Only the current dt's LU is kept: a dt that comes back (sup u fell, or
-    the remainder onto t_end) is factorized again.
+    Only the current dt's factor is kept: a dt that comes back (sup u fell,
+    or the remainder onto t_end) is factorized again.
     """
     import scipy.sparse as sp
+    from scipy.linalg.lapack import dpttrf, dpttrs
     h = op.h
     n = op.n
     u = np.asarray(u0, dtype=float).copy()
@@ -192,7 +237,20 @@ def evolve(op: GridOperator, mu: float, p: float, u0: np.ndarray, dt0: float,
         raise ValueError(f"initial data must match the {n}-point grid")
     I = sp.identity(n, format="csc")
     A = op.matrix.tocsc()
-    lu_dt, lu = 0.0, None       # the current dt's LU: a blow-up only halves dt
+    frame = _symmetric_frame(op)
+
+    def factor(dt):
+        """The solve u = (I + (dt/h)(P - mu))^{-1} rhs."""
+        if frame is not None:
+            D, diag, off = frame
+            d, e, info = dpttrf(1.0 + (dt / h) * (diag - mu), (dt / h) * off)
+            if info == 0:
+                return lambda rhs: D * dpttrs(
+                    d, e, np.divide(rhs, D, out=rhs), overwrite_b=1)[0]
+        return factorize((I + (dt / h) * (A - mu * I)).tocsc()).solve
+
+    solve_dt, solve = 0.0, None  # the current dt's factor: a blow-up only halves dt
+    rhs = np.empty(n)           # each step's rhs, which the solve may overwrite
 
     want_snaps = sorted(float(s) for s in snapshot_times) \
         if snapshot_times is not None else []
@@ -213,14 +271,20 @@ def evolve(op: GridOperator, mu: float, p: float, u0: np.ndarray, dt0: float,
             while dt > cap:
                 dt *= 0.5
         dt = min(dt, t_end - t)
-        dt = lu_dt if abs(dt - lu_dt) <= 1e-9 * lu_dt else dt
+        dt = solve_dt if abs(dt - solve_dt) <= 1e-9 * solve_dt else dt
         last = t_end - t - dt <= 1e-9 * dt0
         dt_min = min(dt_min, dt)
-        rhs = u + (dt / h) * np.maximum(u, 0.0) ** p if nonlinear else u.copy()
-        if dt != lu_dt:
-            lu_dt, lu = dt, None        # free the old factor first
-            lu = factorize((I + (dt / h) * (A - mu * I)).tocsc())
-        u = lu.solve(rhs)
+        if nonlinear:           # rhs = u + (dt / h) max(u, 0)^p, bit for bit
+            np.maximum(u, 0.0, out=rhs)
+            rhs **= p
+            rhs *= dt / h
+            rhs += u
+        else:
+            rhs[:] = u
+        if dt != solve_dt:
+            solve_dt, solve = dt, None     # free the old factor first
+            solve = factor(dt)
+        u = solve(rhs)
         # sup |u| from the two extremes, NaN included
         hi, lo = float(u.max()), float(u.min())
         sup = max(hi, -lo)

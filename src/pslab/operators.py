@@ -11,8 +11,10 @@ relative to h (grid Peclet |X| dx / (2h) < 1) for the boundary layer to be
 resolved.
 
 X is real, so P is stored in real arithmetic (float64); ``shifted(z)``
-returns the complex P - z.  Every sparse LU of P, of P - z or of
-I + dt/h (P - mu) comes from ``factorize``.
+returns the complex P - z.  Every sparse LU of P, of P - z or of a planar
+I + dt/h (P - mu) comes from ``factorize``.  On an interval, ``evolve``
+solves I + dt/h (P - mu) in the symmetric frame of ``symmetrizer_1d``
+instead, with one LAPACK L D L^T factor per step size.
 
 The conjugated spectrum oracle returns the exact eigenvalues
 |X|^2/4 + h^2 lambda_k(-Laplace_Dirichlet), valid for constant X because

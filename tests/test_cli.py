@@ -194,7 +194,7 @@ FROZEN_DIGESTS = {
     "exit-time-ellipse": {"estimate.json": "d343e8a1d63f03c3",
                           "samples.csv": "803962a3a0c7cde6"},
     "blowup": {"blowup_report.json": "8d2763242c91a903",
-               "trajectory.csv": "6f0e6ec513ce9dea"},
+               "trajectory.csv": "73cccaaa648ad986"},
 }
 
 
@@ -403,6 +403,9 @@ class TestRunner:
                             "field": {"X": [1.0, 0.0]},
                             "params": {"h": 0.5, "dx": 0.125, "k": 60}},
          "params.k"),
+        # grid Peclet |X| dx / 2h = 1.22: the implicit step is no M-matrix
+        # and the run lost positivity at its first step
+        ("blowup", "params", {"n": 40}, "params.n"),
     ], ids=["domain-string", "interval-a-string", "field-X-string", "z-scalar",
             "z-three-entries", "h_list-scalar", "h_list-names-collide",
             "dx_rule-string",
@@ -425,7 +428,8 @@ class TestRunner:
             "interval-scan-h-too-coarse", "x0-off-boundary", "x0-in-shadow",
             "z-excluded-value", "interval-real-z-above-quarter",
             "x0-at-lshape-vertex", "bump-leaves-domain", "bump-above-cap",
-            "bump-cap-below-default-peak", "disk-spectrum-k-over-quarter-n"])
+            "bump-cap-below-default-peak", "disk-spectrum-k-over-quarter-n",
+            "blowup-grid-peclet-above-1"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, experiment,
                                       section, patch, key):
         interval = {"type": "interval", "a": 0.0, "b": 1.0}

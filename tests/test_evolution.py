@@ -24,6 +24,36 @@ def fixture_operator(h=0.01, n=2000):
     return assemble_1d(INTERVAL, h, 1.0, n)
 
 
+def count_factors(monkeypatch):
+    """Record each factor ``evolve`` builds: the info of every LAPACK
+    ``dpttrf`` call, and the size of every ``factorize`` call."""
+    import scipy.linalg.lapack as lapack
+
+    import pslab.evolution as evolution
+    real_dpttrf, real_factorize = lapack.dpttrf, evolution.factorize
+    ldlt, lu = [], []
+
+    def counting_dpttrf(d, e):
+        out = real_dpttrf(d, e)
+        ldlt.append(out[2])
+        return out
+
+    def counting_factorize(M):
+        lu.append(M.shape[0])
+        return real_factorize(M)
+
+    monkeypatch.setattr(lapack, "dpttrf", counting_dpttrf)
+    monkeypatch.setattr(evolution, "factorize", counting_factorize)
+    return ldlt, lu
+
+
+def one_node_operator(h):
+    """One node and P = 0: evolve integrates the scalar h u' = mu u + u^p."""
+    return GridOperator(INTERVAL, h, np.array([1.0]), 0.5,
+                        sp.csr_matrix((1, 1)), np.array([[0.5]]), "scalar",
+                        np.ones(1, dtype=bool), np.zeros(1, dtype=bool))
+
+
 def fixture_bump(h=0.01):
     # amplitude pinned at the cap e^{-1/(10h)}; the support rides right and
     # stays inside for t <= 2*delta
@@ -128,10 +158,7 @@ class TestEvolve:
         # one node and P = 0: evolve integrates h u' = mu u + u^2, whose
         # blow-up time has a closed form
         h, mu, u0 = 0.05, 0.3, 1e-3
-        op = GridOperator(INTERVAL, h, np.array([1.0]), 0.5,
-                          sp.csr_matrix((1, 1)),
-                          np.array([[0.5]]), "scalar", np.ones(1, dtype=bool),
-                          np.zeros(1, dtype=bool))
+        op = one_node_operator(h)
         res = evolve(op, mu, 2.0, np.array([u0]), h / 200.0, 10.0)
         want = scalar_blowup_time(u0, mu, 2.0, h)
         assert res.blew_up
@@ -191,21 +218,13 @@ class TestEvolve:
     def test_final_step_clamped(self, monkeypatch, dt0, t_end, steps):
         # the accumulated time ends 5e-14 short of 0.6 (and 2.2e-16 short of
         # the last 1e-3 step): no sliver step, no second factorization
-        import pslab.evolution as evolution
         h = 0.01
         op = fixture_operator(h, 400)
         u0 = bump_initial_data(fixture_bump(h), op.points, h).values
-        real_factorize = evolution.factorize
-        calls = []
-
-        def counting_factorize(M):
-            calls.append(M.shape)
-            return real_factorize(M)
-
-        monkeypatch.setattr(evolution, "factorize", counting_factorize)
+        ldlt, lu = count_factors(monkeypatch)
         res = evolve(op, 0.2, 2.0, u0, dt0, t_end, nonlinear=False)
         assert len(res.times) - 1 == steps
-        assert len(calls) == 1
+        assert ldlt == [0] and lu == []
         assert abs(res.times[-1] - t_end) <= 1e-12
         assert res.dt_min_used >= (1 - 1e-9) * dt0
 
@@ -214,21 +233,17 @@ class TestEvolve:
         # when the next one is built
         import weakref
 
-        import pslab.evolution as evolution
-        real_factorize = evolution.factorize
+        import scipy.linalg.lapack as lapack
+        real_dpttrf = lapack.dpttrf
         factors, alive = [], []
 
-        class Factor:
-            def __init__(self, lu):
-                self.solve = lu.solve
-
-        def tracking_factorize(M):
+        def tracking_dpttrf(d, e):
             alive.append(sum(f() is not None for f in factors))
-            factor = Factor(real_factorize(M))
-            factors.append(weakref.ref(factor))
-            return factor
+            out = real_dpttrf(d, e)
+            factors.append(weakref.ref(out[0]))
+            return out
 
-        monkeypatch.setattr(evolution, "factorize", tracking_factorize)
+        monkeypatch.setattr(lapack, "dpttrf", tracking_dpttrf)
         h = 0.01
         op = fixture_operator(h, 400)
         rep = bump_initial_data(fixture_bump(h), op.points, h)
@@ -238,23 +253,11 @@ class TestEvolve:
         assert alive == [0] * len(alive)
 
     def test_decay_factorization_count(self, monkeypatch):
-        # one node and P = 0 with mu < -u0 < 0: u decays, so dt grows back
-        # through the halvings the initial sup forced
-        import pslab.evolution as evolution
-        h = 0.05
-        op = GridOperator(INTERVAL, h, np.array([1.0]), 0.5,
-                          sp.csr_matrix((1, 1)),
-                          np.array([[0.5]]), "scalar", np.ones(1, dtype=bool),
-                          np.zeros(1, dtype=bool))
-        real_factorize = evolution.factorize
-        calls = []
-
-        def counting_factorize(M):
-            calls.append(M.shape)
-            return real_factorize(M)
-
-        monkeypatch.setattr(evolution, "factorize", counting_factorize)
-        res = evolve(op, -1.0, 2.0, np.array([0.9]), 0.05, 2.0)
+        # one node with mu < -u0 < 0: u decays, so dt grows back through
+        # the halvings the initial sup forced
+        ldlt, lu = count_factors(monkeypatch)
+        res = evolve(one_node_operator(0.05), -1.0, 2.0, np.array([0.9]),
+                     0.05, 2.0)
         assert not res.blew_up
         assert np.all(np.diff(res.sup_norms) <= 0.0)
         # dt climbs 0.05/8 -> 0.05/4 -> 0.05/2 -> 0.05, one factor each;
@@ -262,7 +265,74 @@ class TestEvolve:
         # factorized a second time: only the current factor is kept
         assert res.dt_min_used == 0.05 / 8
         assert abs(res.times[-1] - res.times[-2] - 0.0125) <= 1e-12
-        assert len(calls) == 5
+        assert ldlt == [0] * 5 and lu == []
+
+    @pytest.mark.parametrize("h, n, spec", [
+        (0.005, 4000, fixture_bump(0.005)),
+        (1 / 180, 99, fixture_bump(1 / 180)),
+        # |X| L / 2h = 650: D = kappa^i would reach e^{650}, and the floor
+        # peak (about 1e-101) near x = 0.85 divided by it would fall below
+        # the smallest double
+        (1 / 1300, 4000, BumpSpec(center=[0.85], inner_radius=0.02,
+                                  delta=0.36)),
+    ], ids=["benchmark-blowup", "grid-peclet-0.9", "tiny-data-far-downstream"])
+    def test_symmetric_frame_step_matches_sparse_lu(self, monkeypatch, h, n,
+                                                    spec):
+        # u = D y with y from the L D L^T factor of I + (dt/h)(S - mu),
+        # S = D^{-1} P D, is the sparse LU's solve of I + (dt/h)(P - mu)
+        from pslab.operators import factorize, symmetrizer_1d
+        op = fixture_operator(h, n)
+        assert symmetrizer_1d(op)[-1] > 1e40     # D spans e^{|X| L / 2h}
+        u0 = bump_initial_data(spec, op.points, h).values
+        mu, dt = 0.2, 1e-4
+        ldlt, lu = count_factors(monkeypatch)
+        u = evolve(op, mu, 2.0, u0, dt, dt, snapshot_times=[dt]).snapshots[dt]
+        assert ldlt == [0] and lu == []
+        I = sp.identity(n, format="csc")
+        rhs = u0 + (dt / op.h) * np.maximum(u0, 0.0) ** 2.0
+        want = factorize((I + (dt / op.h) * (op.matrix - mu * I)).tocsc()
+                         ).solve(rhs)
+        assert np.max(np.abs(u - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("h, n, mu, dt, failed", [
+        # mu - lambda_1 = 0.249: dt = 0.1 is above h / (mu - lambda_1)
+        (0.01, 200, 0.5, 0.1, [True]),
+        # dt = 0.01 is below it, and the L D L^T factor holds
+        (0.01, 200, 0.5, 0.01, [False]),
+        # grid Peclet 1.22: P_{i,i+1} P_{i+1,i} < 0, so no real D
+        (0.01, 40, 0.2, 1e-3, []),
+        # D = e^{|X| L / 2h} = e^{1000} leaves the double range
+        (0.0005, 1200, 0.2, 1e-5, []),
+    ], ids=["supercritical-dt-above", "supercritical-dt-below",
+            "grid-peclet-above-1", "symmetrizer-overflows"])
+    def test_sparse_lu_outside_the_symmetric_frame(self, monkeypatch, h, n,
+                                                   mu, dt, failed):
+        ldlt, lu = count_factors(monkeypatch)
+        res = evolve(fixture_operator(h, n), mu, 2.0, np.zeros(n), dt, dt)
+        # a factor that meets a non-positive pivot reports its order
+        assert [info > 0 for info in ldlt] == failed
+        assert lu == ([] if failed == [False] else [n])
+        assert np.all(res.sup_norms == 0.0)
+
+    def test_planar_steps_match_dense_solves(self, monkeypatch):
+        # a coarse unit disk (Shortley-Weller arms): every step is the
+        # sparse LU's, checked against dense solves of the same matrix
+        from pslab.operators import grid_operator
+        h, mu, dt = 0.1, 0.2, 1e-3
+        op = grid_operator(Disk((0.0, 0.0), 1.0), h, [1.0, 0.0], 0.1)
+        spec = BumpSpec(center=[-0.5, 0.0], inner_radius=0.1, delta=0.36,
+                        amplitude=0.5)
+        u = spec.profile(op.points, h)
+        ldlt, lu = count_factors(monkeypatch)
+        res = evolve(op, mu, 2.0, u, dt, 5 * dt, snapshot_times=[5 * dt])
+        assert ldlt == [] and lu == [op.n]
+        assert len(res.times) == 6
+        M = np.eye(op.n) + (dt / h) * (op.matrix.toarray() - mu * np.eye(op.n))
+        for _ in range(5):
+            u = np.linalg.solve(M, u + (dt / h) * np.maximum(u, 0.0) ** 2.0)
+        got = res.snapshots[5 * dt]
+        assert np.max(np.abs(got - u)) <= 1e-12 * np.max(np.abs(u))
+        assert got.min() >= 0.0
 
     def test_instability_contrast(self):
         # amplitude cut by 100x still blows up before delta at smaller h:
